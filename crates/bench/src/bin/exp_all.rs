@@ -1,8 +1,9 @@
-//! Run the full experiment suite (T1–T13 + F1 + E1 + service) in order,
+//! Run the full experiment suite (T1–T13 + F1 + churn) in order,
 //! printing each table — this is what `EXPERIMENTS.md` records.
 //!
-//! Usage: `cargo run -p lmt-bench --release --bin exp_all`
-//! (build the siblings first: `cargo build --release -p lmt-bench --bins`)
+//! Usage: `cargo build --release -p lmt-bench --bins`, then
+//! `target/release/exp_all`. The build step is required: `cargo run --bin
+//! exp_all` builds only this binary, so every sibling would fail to launch.
 //!
 //! Every sibling runs even when one fails: per-binary pass/fail and
 //! duration go into `BENCH_exp_all.json` (written to `$LMT_BENCH_DIR` or
@@ -31,8 +32,6 @@ fn main() -> ExitCode {
         "exp_t11_assumption",
         "exp_t12_source_sensitivity",
         "exp_t13_upcast_ablation",
-        "exp_e1_engine_ab",
-        "exp_service",
         "exp_churn",
     ];
     // Invoke sibling binaries from the same target directory.

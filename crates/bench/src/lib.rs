@@ -1,17 +1,17 @@
 //! # lmt-bench
 //!
-//! Shared harness for the experiment binaries (`exp-*`) and criterion
-//! benches. Each binary regenerates one row-set of DESIGN.md §4's experiment
-//! index; `exp-all` runs the full suite (what EXPERIMENTS.md records).
+//! Shared harness for the `exp_*` experiment binaries, each of which
+//! regenerates one table of `EXPERIMENTS.md`; `exp_all` runs the full
+//! suite.
 //!
-//! Since ISSUE 6 the harness is also the machine-readable side of the perf
-//! trajectory: [`spec`] parses declarative scenario-sweep specs
-//! (`specs/*.json`), [`sweep`] executes them, [`record`] +
-//! [`fingerprint`] define the `BENCH_<tag>.json` schema the runs emit, and
-//! [`diff`] compares two records (the `bench_diff` gate). [`json`] is the
-//! vendored JSON layer underneath (no crates.io in the container), and
-//! [`timing`] holds the shared wall-clock helpers the experiment binaries
-//! previously duplicated.
+//! It is also the τ-exact side of the perf trajectory: [`spec`] parses
+//! declarative scenario-sweep specs (`specs/*.json`), [`sweep`] executes
+//! them, [`record`] + [`fingerprint`] define the `BENCH_<tag>.json` schema
+//! the runs emit, and [`diff`] compares two records (the `bench_diff`
+//! gate). [`json`] is the vendored JSON layer underneath (no crates.io in
+//! the build environment), and [`timing`] holds the wall-clock helpers the
+//! sweep runner uses. End-to-end timing lives in the standalone
+//! `perfbench/` package (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,17 +100,16 @@ pub fn fmt_opt(x: Option<u64>) -> String {
     x.map_or("∞".into(), |v| v.to_string())
 }
 
-/// Pre-engine implementations of the exact-τ sweeps, preserved for A/B
-/// measurement against `lmt_walks::engine` (the `evolve` criterion group
-/// and `exp_e1_engine_ab`): dense full-graph power iteration, one source
-/// at a time, fresh sort/prefix buffers every step, `stationary` recomputed
-/// per source. Same results bit-for-bit — only the cost differs.
+/// Pre-engine implementation of the exact-τ oracle, preserved for A/B
+/// measurement against `lmt_walks::engine` (the `dense` sweep engine, e.g.
+/// `specs/e1_engine_ab.json`): dense full-graph power iteration with fresh
+/// sort/prefix buffers every step. Same results bit-for-bit — only the cost
+/// differs.
 pub mod dense_reference {
     use lmt_graph::WalkGraph;
     use lmt_walks::local::{check_dist, size_grid, LocalMixOptions};
-    use lmt_walks::stationary::stationary;
     use lmt_walks::step::step;
-    use lmt_walks::{Dist, WalkKind};
+    use lmt_walks::Dist;
 
     /// `τ_s(β,ε)` by dense iteration (the historical oracle loop).
     ///
@@ -133,37 +132,6 @@ pub mod dense_reference {
             }
         }
         panic!("dense reference: no witness within {} steps", opts.max_t);
-    }
-
-    /// `τ_mix(ε) = max_v τ_mix_v(ε)` by dense per-source iteration with
-    /// `stationary(g)` recomputed on every source's turn (the historical
-    /// sweep).
-    ///
-    /// # Panics
-    /// Panics if any source fails to mix within `max_t` steps.
-    pub fn graph_mixing_time<G: WalkGraph + ?Sized>(
-        g: &G,
-        eps: f64,
-        kind: WalkKind,
-        max_t: usize,
-    ) -> usize {
-        let mut worst = 0;
-        for s in 0..g.n() {
-            let pi = stationary(g);
-            let mut p = Dist::point(g.n(), s);
-            let mut tau = None;
-            for t in 0..=max_t {
-                if p.l1_distance(&pi) < eps {
-                    tau = Some(t);
-                    break;
-                }
-                if t < max_t {
-                    p = step(g, &p, kind);
-                }
-            }
-            worst = worst.max(tau.expect("dense reference: source did not mix"));
-        }
-        worst
     }
 }
 

@@ -1,12 +1,7 @@
-//! Shared wall-clock timing helpers for the experiment binaries and the
-//! sweep runner.
+//! Wall-clock timing helpers for the sweep runner and `exp_churn`.
 //!
-//! Previously each binary carried its own `median_ms` (private to
-//! `exp_e1_engine_ab`); the sweep harness needs the same numbers, so the
-//! helpers live here now. The old helper's
-//! `partial_cmp(..).expect("finite times")` panicked on NaN — the shared
-//! [`median`] instead skips non-finite samples with a warning on stderr, so
-//! one broken clock reading cannot kill a long sweep.
+//! [`median`] skips non-finite samples with a warning on stderr instead of
+//! panicking, so one broken clock reading cannot kill a long sweep.
 
 use std::time::Instant;
 
@@ -74,16 +69,6 @@ pub fn summarize(samples: &[f64]) -> Option<TimingSummary> {
     })
 }
 
-/// Median wall-clock of `reps` runs of `f`, in milliseconds — the drop-in
-/// form the experiment binaries use for their printed tables.
-///
-/// # Panics
-/// Panics when `reps == 0` (nothing to measure).
-pub fn median_ms(reps: usize, f: impl FnMut()) -> f64 {
-    assert!(reps > 0, "median_ms needs at least one rep");
-    median(&time_reps_ms(reps, f)).expect("Instant::elapsed is finite")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +87,7 @@ mod tests {
 
     #[test]
     fn median_skips_nan_without_panicking() {
-        // The old exp_e1 helper panicked here via partial_cmp(..).expect.
+        // A `partial_cmp(..).expect(..)` sort would panic here.
         assert_eq!(median(&[f64::NAN, 2.0, 1.0, f64::INFINITY]), Some(1.5));
         assert_eq!(median(&[f64::NAN, f64::NAN]), None);
         assert_eq!(median(&[]), None);
@@ -126,6 +111,5 @@ mod tests {
         assert_eq!(calls, 4);
         assert_eq!(times.len(), 4);
         assert!(times.iter().all(|t| t.is_finite() && *t >= 0.0));
-        assert!(median_ms(3, || ()) >= 0.0);
     }
 }

@@ -123,13 +123,52 @@ fn committed_golden_record_parses_and_matches_fresh_taus() {
 }
 
 #[test]
-fn committed_e1_spec_parses() {
-    let text =
-        std::fs::read_to_string(repo_path("specs/e1_engine_ab.json")).expect("committed spec");
-    let spec = SweepSpec::parse(&text).expect("e1 spec parses");
-    assert_eq!(spec.tag, "e1_engine_ab");
-    assert_eq!(spec.reps, 5);
-    // n = 4096 acceptance workload: 8 cliques of 512, both weightings,
-    // both engines.
-    assert_eq!(spec.cell_count(), 4);
+fn committed_specs_parse_and_cover_every_golden() {
+    let stem = |path: &std::path::Path| path.file_stem().unwrap().to_str().unwrap().to_string();
+    let json_files = |dir: &str| -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(repo_path(dir))
+            .expect("committed directory")
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        files
+    };
+
+    // Every committed spec parses and is named after its tag (the tag names
+    // the emitted `BENCH_<tag>.json`).
+    let mut cells = std::collections::BTreeMap::new();
+    for path in json_files("specs") {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let spec = SweepSpec::parse(&text)
+            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+        assert_eq!(
+            spec.tag,
+            stem(&path),
+            "{}: tag must equal the file stem",
+            path.display()
+        );
+        cells.insert(spec.tag.clone(), spec.cell_count());
+    }
+
+    // CI's τ gate runs `specs/<tag>.json` for every `BENCH_<tag>.json`.
+    let goldens = json_files("specs/golden");
+    assert!(!goldens.is_empty());
+    for golden in goldens {
+        let tag = stem(&golden);
+        let tag = tag
+            .strip_prefix("BENCH_")
+            .expect("goldens are named BENCH_<tag>.json");
+        assert!(
+            cells.contains_key(tag),
+            "golden {tag} has no specs/{tag}.json"
+        );
+    }
+
+    // Manual runs without a golden: scale is one 2^24-node expander cell,
+    // service its cold and warm cells, and e1 the n = 4096 clique ring
+    // under both weightings and both engines.
+    assert_eq!(cells["scale"], 1);
+    assert_eq!(cells["service"], 2);
+    assert_eq!(cells["e1_engine_ab"], 4);
 }

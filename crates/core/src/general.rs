@@ -136,7 +136,7 @@ mod tests {
         // than the *flat-window* oracle semantics, which can trade the set
         // size against leaked mass (a set of size R > |clique| with target
         // 1/R absorbs the deficit); with the exact π_S target the deficit
-        // lower-bounds the distance. See DESIGN.md T2 for the comparison.
+        // lower-bounds the distance.
         let (g, spec) = gen::barbell(2, 12);
         let r = local_mixing_time_general(&g, 0, 2.0, EPS, WalkKind::Lazy, 100).unwrap();
         assert!(r.tau <= 8, "clique should mix locally fast, got {}", r.tau);

@@ -1,6 +1,6 @@
 //! Minimal plain-text / CSV table writer.
 //!
-//! Every `exp-*` binary in `lmt-bench` prints its table/figure series through
+//! Every `exp_*` binary in `lmt-bench` prints its table/figure series through
 //! this type so EXPERIMENTS.md gets uniformly formatted, diff-able output.
 
 use std::fmt::Write as _;

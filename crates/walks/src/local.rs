@@ -361,16 +361,6 @@ impl WitnessScratch {
             }
         }
     }
-
-    /// Best restricted distance over the grid, irrespective of `eps` (the
-    /// [`local_profile`] kernel).
-    pub fn best_over_sizes(&mut self, p: &[f64], sizes: &[usize]) -> f64 {
-        self.load(p);
-        sizes
-            .iter()
-            .filter_map(|&r| self.sp.best_window(r, 1.0 / r as f64).map(|w| w.1))
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Existence check for one distribution: is there a set of an allowed size
@@ -477,31 +467,6 @@ pub fn graph_local_mixing_time<G: WalkGraph + ?Sized>(
         }
     }
     Ok(worst)
-}
-
-/// Per-step profile `t ↦ min over grid sizes of the best restricted distance`
-/// for `t = 0..=t_max`. **Not monotone** in general — the basis of experiment
-/// T9 (the paper's remark that Lemma 1 fails for restricted distances and why
-/// binary search over `ℓ` is unsound).
-pub fn local_profile<G: WalkGraph + ?Sized>(
-    g: &G,
-    src: usize,
-    opts: &LocalMixOptions,
-    t_max: usize,
-) -> Vec<f64> {
-    opts.validate(g.n());
-    crate::step::assert_source(g, src, "local_profile");
-    let sizes = size_grid(g.n(), opts);
-    let mut out = Vec::with_capacity(t_max + 1);
-    let mut ev = Evolution::from_point(g, src, opts.kind);
-    let mut scratch = WitnessScratch::new(g.n());
-    for t in 0..=t_max {
-        out.push(scratch.best_over_sizes(ev.current(), &sizes));
-        if t < t_max {
-            ev.step();
-        }
-    }
-    out
 }
 
 /// The restricted-distance trace `t ↦ ‖p_tS − π_S‖₁` for a **fixed** set `S`
@@ -722,14 +687,6 @@ mod tests {
         // Quickly becomes small inside the source clique.
         let min = trace.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(min < 0.3, "min restricted distance {min}");
-    }
-
-    #[test]
-    fn local_profile_length() {
-        let g = gen::complete(8);
-        let prof = local_profile(&g, 0, &opts(2.0), 5);
-        assert_eq!(prof.len(), 6);
-        assert!(prof[1] < prof[0]);
     }
 
     #[test]

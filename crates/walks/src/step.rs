@@ -66,9 +66,8 @@ pub fn assert_source<G: WalkGraph + ?Sized>(g: &G, src: usize, what: &str) {
 ///
 /// # Panics
 /// Debug builds panic if `p` places mass on an isolated node (that mass
-/// would silently vanish); the one-shot entry points (`evolve`,
-/// [`Trajectory::new`], the mixing-time functions) check this in release
-/// builds too.
+/// would silently vanish); the one-shot entry points ([`evolve`], the
+/// mixing-time functions) check this in release builds too.
 pub fn step<G: WalkGraph + ?Sized>(g: &G, p: &Dist, kind: WalkKind) -> Dist {
     assert_eq!(p.n(), g.n(), "step: distribution/graph size mismatch");
     let ps = p.as_slice();
@@ -100,47 +99,6 @@ pub fn evolve<G: WalkGraph + ?Sized>(g: &G, p0: &Dist, kind: WalkKind, t: usize)
         ev.step();
     }
     ev.into_dist()
-}
-
-/// Iterator over `p_0, p_1, p_2, …` (inclusive of the start).
-///
-/// Successors are computed **lazily**: `next()` steps the engine only when
-/// a new item is demanded, so `take(k)` costs exactly `k − 1` walk steps
-/// (an earlier version eagerly precomputed the step after the one it
-/// yielded, charging every consumer one full sweep it discarded).
-pub struct Trajectory<'g, G: WalkGraph + ?Sized = lmt_graph::Graph> {
-    ev: crate::engine::Evolution<'g, G>,
-    started: bool,
-}
-
-impl<'g, G: WalkGraph + ?Sized> Trajectory<'g, G> {
-    /// Start a trajectory at `p0`.
-    ///
-    /// # Panics
-    /// Panics on a size mismatch or if `p0` places mass on an isolated
-    /// node (see [`step`]).
-    pub fn new(g: &'g G, p0: Dist, kind: WalkKind) -> Self {
-        assert_eq!(p0.n(), g.n(), "trajectory: size mismatch");
-        // Walkability is checked (once) by the engine constructor, which
-        // takes the distribution by value — no second scan, no copy.
-        Trajectory {
-            ev: crate::engine::Evolution::from_dist(g, p0, kind),
-            started: false,
-        }
-    }
-}
-
-impl<G: WalkGraph + ?Sized> Iterator for Trajectory<'_, G> {
-    type Item = Dist;
-
-    fn next(&mut self) -> Option<Dist> {
-        if self.started {
-            self.ev.step();
-        } else {
-            self.started = true;
-        }
-        Some(self.ev.current_dist())
-    }
 }
 
 #[cfg(test)]
@@ -188,83 +146,6 @@ mod tests {
             p = step(&g, &p, WalkKind::Lazy);
         }
         assert_eq!(via_evolve, p);
-    }
-
-    #[test]
-    fn trajectory_yields_start_first() {
-        let g = gen::path(4);
-        let mut tr = Trajectory::new(&g, Dist::point(4, 1), WalkKind::Lazy);
-        let p0 = tr.next().unwrap();
-        assert_eq!(p0.get(1), 1.0);
-        let p1 = tr.next().unwrap();
-        assert!(p1.get(1) > 0.0 && p1.get(0) > 0.0);
-    }
-
-    /// Delegating substrate that counts row-pulls, to pin down how many
-    /// walk steps an iteration actually pays for.
-    struct CountingGraph {
-        inner: lmt_graph::Graph,
-        pulls: std::sync::atomic::AtomicUsize,
-    }
-
-    impl CountingGraph {
-        fn pulls(&self) -> usize {
-            self.pulls.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    impl WalkGraph for CountingGraph {
-        fn topology(&self) -> &lmt_graph::Graph {
-            &self.inner
-        }
-        fn walk_degree(&self, u: usize) -> f64 {
-            self.inner.walk_degree(u)
-        }
-        fn total_walk_weight(&self) -> f64 {
-            self.inner.total_walk_weight()
-        }
-        fn loop_weight(&self, u: usize) -> f64 {
-            self.inner.loop_weight(u)
-        }
-        fn pull(&self, v: usize, p: &[f64]) -> f64 {
-            self.pulls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.pull(v, p)
-        }
-        fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]) {
-            self.pulls.fetch_add(width, std::sync::atomic::Ordering::Relaxed);
-            self.inner.pull_block(v, p, width, out)
-        }
-        fn flat_stationary(&self) -> Option<f64> {
-            self.inner.flat_stationary()
-        }
-        fn sample_step(&self, at: usize, rng: &mut rand::rngs::SmallRng) -> usize {
-            self.inner.sample_step(at, rng)
-        }
-    }
-
-    #[test]
-    fn trajectory_take_k_pays_for_k_minus_1_steps() {
-        // Regression: `next()` used to eagerly precompute the step *after*
-        // the one it yielded, so `take(k)` paid for k steps and discarded
-        // the last. The complete graph crosses to the dense path at once,
-        // so every step pulls all n rows: take(5) must cost exactly 4·n
-        // row-pulls (0 on its first yield), not 5·n.
-        let g = CountingGraph {
-            inner: gen::complete(8),
-            pulls: std::sync::atomic::AtomicUsize::new(0),
-        };
-        let n = 8;
-        let items: Vec<Dist> = Trajectory::new(&g, Dist::point(n, 0), WalkKind::Lazy)
-            .take(5)
-            .collect();
-        assert_eq!(items.len(), 5);
-        let pulls = g.pulls();
-        assert!(
-            pulls <= 4 * n,
-            "take(5) paid {pulls} row-pulls (> 4·n = {}): successor not lazy",
-            4 * n
-        );
-        assert!(pulls > 3 * n, "suspiciously few pulls: {pulls}");
     }
 
     #[test]
