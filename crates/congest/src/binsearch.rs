@@ -11,6 +11,13 @@
 //!    with `count(≤ T) ≥ R` is found;
 //! 3. broadcast `T` and convergecast the qualified sum.
 //!
+//! All of a call's phases — `2·iterations + 5` of them — run on **one**
+//! network over the tree's own nodes and edges, reset between phases
+//! (fresh states and seeds, warm message arenas; see the [`crate::tree`]
+//! docs), and the tree protocol's idle skipping makes each round cost its
+//! active tree level rather than the tree size. Rounds, messages and bits
+//! are exactly those of a fresh full-graph network per phase.
+//!
 //! **Tie handling.** The paper has every node add a small random jitter
 //! `r_u ∈ [1/n⁸, 1/n⁴]` so all values are distinct whp and the count can hit
 //! `R` exactly ([`TieBreak::RandomJitter`]). We additionally provide an
@@ -22,7 +29,7 @@
 use crate::bfs::BfsTree;
 use crate::engine::{EngineKind, Metrics, RunError};
 use crate::message::id_bits;
-use crate::tree::{broadcast, convergecast_partial, MaxVal, MinVal, SumVal, Wide};
+use crate::tree::{Op, TreeNetwork, TreeTopology, Wide};
 use lmt_graph::Graph;
 use lmt_util::rng::fork;
 use rand::Rng;
@@ -53,49 +60,43 @@ pub struct RSmallestResult {
     pub iterations: u32,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Broadcast the candidate threshold `t`; `thresholds[i]` becomes what
+/// tree node `i` received.
 fn bcast_threshold(
-    g: &Graph,
-    tree: &BfsTree,
+    net: &mut TreeNetwork<'_>,
     t: u128,
     width: u32,
-    budget: u32,
-    engine: EngineKind,
     seed: u64,
+    thresholds: &mut Vec<Option<u128>>,
     total: &mut Metrics,
-) -> Result<Vec<Option<u128>>, RunError> {
-    let (vals, m) = broadcast(g, tree, Wide::new(t, width), budget, engine, seed)?;
-    total.absorb(&m);
-    Ok(vals.into_iter().map(|v| v.map(|w| w.value)).collect())
+) -> Result<(), RunError> {
+    total.absorb(&net.broadcast(Wide::new(t, width), seed)?);
+    thresholds.clear();
+    thresholds.extend(net.values().map(|v| v.map(|w| w.value)));
+    Ok(())
 }
 
-/// Count tree nodes whose value is ≤ their received threshold.
-#[allow(clippy::too_many_arguments)]
+/// Count tree nodes whose value is ≤ their received threshold; each
+/// count field is `width` bits.
 fn count_qualified(
-    g: &Graph,
-    tree: &BfsTree,
+    net: &mut TreeNetwork<'_>,
     values: &[u128],
     thresholds: &[Option<u128>],
-    budget: u32,
-    engine: EngineKind,
+    width: u32,
     seed: u64,
     total: &mut Metrics,
 ) -> Result<u128, RunError> {
-    let width = id_bits(g.n()) + 1;
-    let (res, m) = convergecast_partial(
-        g,
-        tree,
+    let (res, m) = net.convergecast(
+        Op::Sum,
         |id| {
             thresholds[id]
                 .is_some_and(|t| values[id] <= t)
-                .then(|| SumVal(Wide::new(1, width)))
+                .then(|| Wide::new(1, width))
         },
-        budget,
-        engine,
         seed,
     )?;
     total.absorb(&m);
-    Ok(res.map_or(0, |v| v.0.value))
+    Ok(res.map_or(0, |v| v.value))
 }
 
 /// Virtual contribution of the nodes *outside* a depth-limited BFS tree.
@@ -141,25 +142,34 @@ pub fn sum_of_r_smallest(
         g.n() as u128,
         "outside.count must cover exactly the unreached nodes"
     );
+    // Every phase below runs on one network over the tree itself, in the
+    // tree's local ids.
+    let topo = TreeTopology::new(tree);
+    let mut net = TreeNetwork::new(&topo, budget_bits, engine);
     let mut total = Metrics::default();
 
-    // Jitter preprocessing: each node appends random low-order bits locally
-    // (node-local randomness; modelled by a per-node fork of the seed).
-    let (work_values, work_width, jbits) = match tie {
-        TieBreak::ThresholdCorrection => (values.to_vec(), value_width, 0),
+    // Each tree node's working value. Jitter preprocessing: each node
+    // appends random low-order bits locally (node-local randomness;
+    // modelled by a per-node fork of the seed).
+    let (work_width, jbits) = match tie {
+        TieBreak::ThresholdCorrection => (value_width, 0),
         TieBreak::RandomJitter { bits } => {
             assert!(bits > 0 && bits <= 32, "jitter bits out of range");
-            let jittered: Vec<u128> = values
-                .iter()
-                .enumerate()
-                .map(|(id, &v)| {
-                    let mut rng = fork(seed ^ 0x71E_B4EA, id as u64);
-                    (v << bits) | rng.gen_range(0..(1u128 << bits))
-                })
-                .collect();
-            (jittered, value_width + bits, bits)
+            (value_width + bits, bits)
         }
     };
+    let work_values: Vec<u128> = topo
+        .members()
+        .iter()
+        .map(|&u| {
+            let v = values[u as usize];
+            if jbits == 0 {
+                return v;
+            }
+            let mut rng = fork(seed ^ 0x71E_B4EA, u as u64);
+            (v << jbits) | rng.gen_range(0..(1u128 << jbits))
+        })
+        .collect();
 
     // The outside value lives on the jittered scale too (shifted, no jitter
     // bits needed: it only has to order correctly against jittered values,
@@ -170,26 +180,20 @@ pub fn sum_of_r_smallest(
     });
 
     // Phase 1: min and max over tree nodes, folded with the outside value.
-    let (mn, m1) = convergecast_partial(
-        g,
-        tree,
-        |id| Some(MinVal(Wide::new(work_values[id], work_width))),
-        budget_bits,
-        engine,
+    let (mn, m1) = net.convergecast(
+        Op::Min,
+        |id| Some(Wide::new(work_values[id], work_width)),
         seed.wrapping_add(1),
     )?;
     total.absorb(&m1);
-    let (mx, m2) = convergecast_partial(
-        g,
-        tree,
-        |id| Some(MaxVal(Wide::new(work_values[id], work_width))),
-        budget_bits,
-        engine,
+    let (mx, m2) = net.convergecast(
+        Op::Max,
+        |id| Some(Wide::new(work_values[id], work_width)),
         seed.wrapping_add(2),
     )?;
     total.absorb(&m2);
-    let mut lo = mn.expect("min over ≥ 1 tree nodes").0.value;
-    let mut hi = mx.expect("max over ≥ 1 tree nodes").0.value;
+    let mut lo = mn.expect("min over ≥ 1 tree nodes").value;
+    let mut hi = mx.expect("max over ≥ 1 tree nodes").value;
     if let Some(o) = outside_work {
         if o.count > 0 {
             lo = lo.min(o.value);
@@ -198,27 +202,25 @@ pub fn sum_of_r_smallest(
     }
 
     // Phase 2: smallest T with count(≤ T) ≥ R.
+    let count_width = id_bits(g.n()) + 1;
+    let mut thresholds = Vec::with_capacity(work_values.len());
     let mut iterations = 0;
     while lo < hi {
         iterations += 1;
         let mid = lo + (hi - lo) / 2;
-        let thresholds = bcast_threshold(
-            g,
-            tree,
+        bcast_threshold(
+            &mut net,
             mid,
             work_width,
-            budget_bits,
-            engine,
             seed.wrapping_add(100 + iterations as u64),
+            &mut thresholds,
             &mut total,
         )?;
         let mut count = count_qualified(
-            g,
-            tree,
+            &mut net,
             &work_values,
             &thresholds,
-            budget_bits,
-            engine,
+            count_width,
             seed.wrapping_add(200 + iterations as u64),
             &mut total,
         )?;
@@ -236,41 +238,34 @@ pub fn sum_of_r_smallest(
     let t = lo;
 
     // Phase 3: qualified sum (and final count for the correction).
-    let thresholds = bcast_threshold(
-        g,
-        tree,
+    bcast_threshold(
+        &mut net,
         t,
         work_width,
-        budget_bits,
-        engine,
         seed.wrapping_add(300),
+        &mut thresholds,
         &mut total,
     )?;
     let mut count = count_qualified(
-        g,
-        tree,
+        &mut net,
         &work_values,
         &thresholds,
-        budget_bits,
-        engine,
+        count_width,
         seed.wrapping_add(301),
         &mut total,
     )?;
     let sum_width = work_width + id_bits(g.n()) + 1;
-    let (qsum, m3) = convergecast_partial(
-        g,
-        tree,
+    let (qsum, m3) = net.convergecast(
+        Op::Sum,
         |id| {
             thresholds[id]
                 .is_some_and(|th| work_values[id] <= th)
-                .then(|| SumVal(Wide::new(work_values[id], sum_width)))
+                .then(|| Wide::new(work_values[id], sum_width))
         },
-        budget_bits,
-        engine,
         seed.wrapping_add(302),
     )?;
     total.absorb(&m3);
-    let mut qsum = qsum.map_or(0, |v| v.0.value);
+    let mut qsum = qsum.map_or(0, |v| v.value);
     if let Some(o) = outside_work {
         if o.value <= t {
             count += o.count;

@@ -38,12 +38,20 @@
 //! rounds are allocation-free
 //! ([`engine::Network::routing_alloc_events`] observes this). Outboxes
 //! track destination-sortedness incrementally — broadcast-only and
-//! single-destination protocols (flooding, BFS, convergecast) skip sorting
+//! single-destination protocols (flooding, BFS, tree phases) skip sorting
 //! entirely — and unsorted outboxes are restored by a stable
 //! degree-indexed counting pass rather than a comparison sort. Delivery
 //! gathers each destination's inbox from its in-neighbors' message runs
 //! and is sharded by destination across the thread pool for the parallel
 //! engine.
+//!
+//! Networks are reusable: [`engine::Network::reset`] starts a new run with
+//! fresh states and seeds on the warm arenas. A protocol may also declare
+//! [`engine::Protocol::SKIP_IDLE`] — a round with an empty inbox is a no-op
+//! for it — and the engine then steps only the nodes that received
+//! messages, so a sparse round costs `O(active)` instead of `O(n)`. Both
+//! are exact: the execution is the one a fresh, fully stepped network
+//! produces.
 //!
 //! ## Faults
 //!
@@ -63,14 +71,16 @@
 //!   accounting) and field-width helpers.
 //! * [`engine`] — [`engine::Network`]: sequential and rayon-parallel round
 //!   executors with identical (deterministic, seeded) semantics, budget
-//!   enforcement, quiescence detection and [`engine::Metrics`].
+//!   enforcement, quiescence detection, reuse, idle skipping and
+//!   [`engine::Metrics`].
 //! * `routing` (crate-private) — the arena-backed message plane described
 //!   above.
 //! * [`bfs`] — distributed BFS-tree construction by flooding (depth-limited,
 //!   as used in step 3 of Algorithm 2), verified against the centralized
 //!   traversal.
 //! * [`tree`] — broadcast and convergecast (sum / min / max / count) over a
-//!   constructed BFS tree — the upcast/downcast toolkit of §3.1.
+//!   constructed BFS tree — the upcast/downcast toolkit of §3.1, one
+//!   idle-skipping protocol whose phases can share a network.
 //! * [`binsearch`] — the paper's distributed binary search that lets the
 //!   source learn **the sum of the `R` smallest node values** in
 //!   `O(D log n)` rounds (§3.1), with both the paper's random tie-breaking

@@ -5,7 +5,7 @@
 use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::binsearch::{sum_of_r_smallest, Outside, TieBreak};
 use lmt_congest::message::olog_budget;
-use lmt_congest::tree::{convergecast, MinVal, SumVal, Wide};
+use lmt_congest::tree::{convergecast, Op, Wide};
 use lmt_congest::EngineKind;
 use lmt_graph::{gen, props, traversal};
 use proptest::prelude::*;
@@ -46,13 +46,13 @@ proptest! {
         let budget = olog_budget(n, 32);
         let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, EngineKind::Sequential, 2).unwrap();
         let (sum, _) = convergecast(
-            &g, &tree, |id| Some(SumVal(Wide::new(values[id], 40))), budget, EngineKind::Sequential, 3,
+            &tree, Op::Sum, |id| Some(Wide::new(values[id], 40)), budget, EngineKind::Sequential, 3,
         ).unwrap();
-        prop_assert_eq!(sum.unwrap().0.value, values.iter().sum::<u128>());
+        prop_assert_eq!(sum.unwrap().value, values.iter().sum::<u128>());
         let (mn, _) = convergecast(
-            &g, &tree, |id| Some(MinVal(Wide::new(values[id], 40))), budget, EngineKind::Sequential, 4,
+            &tree, Op::Min, |id| Some(Wide::new(values[id], 40)), budget, EngineKind::Sequential, 4,
         ).unwrap();
-        prop_assert_eq!(mn.unwrap().0.value, *values.iter().min().unwrap());
+        prop_assert_eq!(mn.unwrap().value, *values.iter().min().unwrap());
     }
 
     /// The distributed R-smallest sum is exact for arbitrary values

@@ -23,7 +23,7 @@ use crate::config::AlgoConfig;
 use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::flood::estimate_rw_probability_kind;
 use lmt_congest::message::id_bits;
-use lmt_congest::tree::{convergecast, SumVal, Wide};
+use lmt_congest::tree::{convergecast, Op, Wide};
 use lmt_congest::Metrics;
 use lmt_graph::Graph;
 use lmt_util::fixed::{FixedQ, FixedScale};
@@ -75,15 +75,15 @@ fn distance_at(
         .collect();
     let width = scale.payload_bits() + id_bits(g.n()) + 1;
     let (sum, m_cc) = convergecast(
-        g,
         tree,
-        |u| Some(SumVal(Wide::new(diffs[u], width))),
+        Op::Sum,
+        |u| Some(Wide::new(diffs[u], width)),
         budget,
         cfg.engine,
         cfg.seed.wrapping_add(0xA000 + ell),
     )?;
     metrics.absorb(&m_cc);
-    Ok(FixedQ::from_numerator(sum.map_or(0, |v| v.0.value)))
+    Ok(FixedQ::from_numerator(sum.map_or(0, |v| v.value)))
 }
 
 /// \[18\]-style distributed global mixing time estimation: doubling to

@@ -43,15 +43,18 @@ pub fn rounds_to_full_spread_faulty(
 ) -> Option<u64> {
     let n = g.n();
     let mut gossip = Gossip::with_faults(g, mode, seed, plan);
+    // The live set, rebuilt once per check; a live node is complete when
+    // its token set contains the whole live set (a word-wise superset test).
+    let mut live = BitSet::new(n);
     gossip.run_until(
         |s| {
             let plan = s.fault_plan().expect("constructed with a plan");
             let round = s.round();
-            let live: Vec<usize> = (0..n).filter(|&i| !plan.crashed_by(i, round)).collect();
-            !live.is_empty()
-                && live
-                    .iter()
-                    .all(|&i| live.iter().all(|&j| s.tokens_of(i).contains(j)))
+            live.clear();
+            for i in (0..n).filter(|&i| !plan.crashed_by(i, round)) {
+                live.insert(i);
+            }
+            !live.is_empty() && live.iter().all(|i| s.tokens_of(i).is_superset(&live))
         },
         max_rounds,
     )

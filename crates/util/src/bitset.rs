@@ -2,8 +2,9 @@
 //!
 //! Used for per-node token bookkeeping in the gossip substrate (where a node
 //! may hold up to `n` distinct tokens and the coverage checker needs fast
-//! union / count), and for subset enumeration in the exact weak-conductance
-//! code on tiny graphs.
+//! union / count), for subset enumeration in the exact weak-conductance
+//! code on tiny graphs, and for the CONGEST router's per-round receiver
+//! marks.
 
 /// A fixed-capacity set of `usize` keys in `[0, capacity)` backed by `u64`
 /// words.
@@ -114,6 +115,19 @@ impl BitSet {
         added
     }
 
+    /// True iff every element of `other` is in `self` — one word-wise pass;
+    /// both sets must share a capacity.
+    pub fn is_superset(&self, other: &BitSet) -> bool {
+        assert_eq!(
+            self.capacity, other.capacity,
+            "BitSet capacity mismatch in superset test"
+        );
+        self.words
+            .iter()
+            .zip(other.words.iter())
+            .all(|(&a, &b)| b & !a == 0)
+    }
+
     /// In-place intersection.
     pub fn intersect_with(&mut self, other: &BitSet) {
         assert_eq!(
@@ -207,6 +221,30 @@ mod tests {
             s.insert(k);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 63, 64, 128, 199]);
+    }
+
+    #[test]
+    fn superset_is_word_wise_containment() {
+        let mut big = BitSet::new(200);
+        let mut small = BitSet::new(200);
+        assert!(big.is_superset(&small), "everything contains the empty set");
+        for k in [0, 63, 64, 150, 199] {
+            big.insert(k);
+        }
+        for k in [0, 64, 199] {
+            small.insert(k);
+        }
+        assert!(big.is_superset(&small));
+        assert!(!small.is_superset(&big));
+        assert!(big.is_superset(&big));
+        small.insert(100); // a member big lacks, in a word big shares
+        assert!(!big.is_superset(&small));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity mismatch")]
+    fn superset_rejects_capacity_mismatch() {
+        let _ = BitSet::new(10).is_superset(&BitSet::new(11));
     }
 
     #[test]

@@ -41,6 +41,13 @@ use lmt_util::order::SortedPrefix;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SizeGrid {
     /// Every integer size in `[⌈n/β⌉, n]` — exact Definition 2.
+    ///
+    /// **Quadratic per step.** The witness check scans every window of
+    /// each size `R` over the sorted distribution, `O(n − R)` per size, so
+    /// all `n − ⌈n/β⌉ + 1` sizes together cost `Θ(n²)` per walk step
+    /// (about `(1 − 1/β)²·n²/2` window evaluations; ~4·10¹¹ at n = 2²⁰,
+    /// β = 8). Meant for small graphs and for cross-checking
+    /// [`SizeGrid::Geometric`], which inspects only `O(log β / ε)` sizes.
     All,
     /// The paper's grid: `⌈n/β⌉, ⌈(1+ε)n/β⌉, ⌈(1+ε)²n/β⌉, …, n`.
     Geometric,

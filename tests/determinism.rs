@@ -991,3 +991,134 @@ proptest! {
         }
     }
 }
+
+/// Tree phases (idle-skipping, so only receivers are stepped, and the
+/// parallel engine's sharded router collects them): a broadcast and a
+/// convergecast per operation on a spanning expander tree.
+#[test]
+fn tree_phases_parallel_equal_sequential_across_widths() {
+    use lmt_congest::tree::{broadcast, convergecast, Op, Wide};
+    let g = gen::random_regular(600, 6, 21);
+    let budget = olog_budget(g.n(), 16);
+    let results = at_widths(|| {
+        both_engines(|engine| {
+            let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, engine, 1).expect("bfs");
+            let down = broadcast(&tree, Wide::new(77, 8), budget, engine, 2).expect("bcast");
+            let mut out = format!("{down:?}");
+            for op in [Op::Min, Op::Max, Op::Sum] {
+                let up = convergecast(
+                    &tree,
+                    op,
+                    |id| (id % 3 != 0).then(|| Wide::new((id * 37 % 1000) as u128, 24)),
+                    budget,
+                    engine,
+                    3,
+                )
+                .expect("convergecast");
+                out += &format!("{up:?}");
+            }
+            out
+        })
+    });
+    for (w, (seq, par)) in &results {
+        assert_eq!(seq, par, "parallel != sequential at pool width {w}");
+    }
+    for pair in results.windows(2) {
+        assert_eq!(pair[0].1, pair[1].1, "results drifted between widths {} and {}", pair[0].0, pair[1].0);
+    }
+}
+
+/// Algorithm 2 pinned end to end: ℓ, the accepted size and sum, the full
+/// CONGEST [`Metrics`] and every per-iteration log, on fixed graphs, with
+/// both engines at every pool width. The literals were recorded from the
+/// one-network-per-phase implementation, so any change to the simulator
+/// that moves a single round, message or bit of Algorithm 2 fails here.
+mod algo2_pin {
+    use super::*;
+
+    /// `(ell, bfs_depth, tree_reached, sizes_checked, rounds)` per doubling
+    /// iteration.
+    type Iter = (u64, u32, usize, usize, u64);
+
+    pub struct Pin {
+        pub ell: u64,
+        pub accepted_size: usize,
+        pub accepted_sum_bits: u64,
+        pub metrics: Metrics,
+        pub iterations: &'static [Iter],
+    }
+
+    fn metrics(rounds: u64, messages: u64, bits: u64, max_edge_bits: u32) -> Metrics {
+        Metrics {
+            rounds,
+            messages,
+            bits,
+            max_edge_bits,
+            ..Metrics::default()
+        }
+    }
+
+    /// `random_regular(256, 8, 3)` from node 17 with β = 2.
+    pub fn regular() -> (Graph, usize, f64, Pin) {
+        let pin = Pin {
+            ell: 8,
+            accepted_size: 210,
+            accepted_sum_bits: 0x3fc55f2f7b1fe400,
+            metrics: metrics(15039, 768855, 22321014, 59),
+            iterations: &[
+                (1, 1, 9, 17, 1614),
+                (2, 2, 57, 17, 3231),
+                (4, 4, 256, 17, 6173),
+                (8, 4, 256, 12, 4021),
+            ],
+        };
+        (gen::random_regular(256, 8, 3), 17, 2.0, pin)
+    }
+
+    /// `ring_of_cliques_regular(5, 8)` from node 7 with β = 2: depth-limited
+    /// trees (the `Outside` fold) for every ℓ, since D = 7 < n.
+    pub fn clique_ring() -> (Graph, usize, f64, Pin) {
+        let pin = Pin {
+            ell: 128,
+            accepted_size: 32,
+            accepted_sum_bits: 0x3fc60102f166e009,
+            metrics: metrics(37704, 279545, 6236444, 40),
+            iterations: &[
+                (1, 1, 8, 16, 993),
+                (2, 2, 15, 16, 1985),
+                (4, 4, 24, 16, 3897),
+                (8, 7, 40, 16, 6736),
+                (16, 7, 40, 16, 6674),
+                (32, 7, 40, 16, 6550),
+                (64, 7, 40, 16, 6498),
+                (128, 7, 40, 11, 4371),
+            ],
+        };
+        (gen::ring_of_cliques_regular(5, 8).0, 7, 2.0, pin)
+    }
+
+    pub fn check(g: &Graph, src: usize, beta: f64, pin: &Pin) {
+        for engine in [EngineKind::Sequential, EngineKind::Parallel] {
+            let mut cfg = AlgoConfig::new(beta);
+            cfg.engine = engine;
+            let r = local_mixing_time_approx(g, src, &cfg).expect("Algorithm 2 accepts");
+            assert_eq!(r.ell, pin.ell, "{engine:?}");
+            assert_eq!(r.accepted_size, pin.accepted_size, "{engine:?}");
+            assert_eq!(r.accepted_sum.to_bits(), pin.accepted_sum_bits, "{engine:?}");
+            assert_eq!(r.metrics, pin.metrics, "{engine:?}");
+            let iters: Vec<Iter> = r
+                .iterations
+                .iter()
+                .map(|i| (i.ell, i.bfs_depth, i.tree_reached, i.sizes_checked, i.rounds))
+                .collect();
+            assert_eq!(iters, pin.iterations, "{engine:?}");
+        }
+    }
+}
+
+#[test]
+fn algo2_pinned_across_engines_and_widths() {
+    for (g, src, beta, pin) in [algo2_pin::regular(), algo2_pin::clique_ring()] {
+        at_widths(|| algo2_pin::check(&g, src, beta, &pin));
+    }
+}
