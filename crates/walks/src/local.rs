@@ -6,8 +6,13 @@
 //! set size `R` the optimal set is the `R` nodes whose probabilities are
 //! closest to `1/R` — and since "closest to a scalar" is an interval, those
 //! nodes form a **contiguous window of the value-sorted distribution**. That
-//! turns the per-step existence check into `O(n log n + |grid|·n)` instead of
-//! an exponential subset search ([`check_dist`]).
+//! turns the per-step existence check into a sort plus a window scan per
+//! size instead of an exponential subset search ([`check_dist`]), and both
+//! halves are sparse ([`WitnessScratch`]): only the nonzero entries are
+//! sorted (the zeros are one id-ordered run), and a window of size `R`
+//! holding less than `1 − ε` of the mass cannot pass
+//! (`Σ|p − 1/R| ≥ 1 − mass`), so each size scans only the few windows that
+//! hold nearly all of it.
 //!
 //! The oracle supports:
 //! * every set size (`SizeGrid::All`) — the exact Definition 2 quantity — or
@@ -26,9 +31,9 @@
 //! horizon, so each step costs `O(vol(support))`, not `O(2m)` — and
 //! [`graph_local_mixing_time`] advances its sources in blocks through one
 //! shared CSR sweep per step. Per-step sort/prefix buffers are reused
-//! across steps and sources (consecutive steps are nearly value-sorted,
-//! which the adaptive sort exploits). All results are bit-for-bit identical
-//! to the historical dense per-source iteration.
+//! across steps and sources. All results are bit-for-bit identical to the
+//! historical dense per-source iteration with a full sort and an unpruned
+//! scan.
 
 use crate::engine::{BlockEvolution, Evolution};
 use crate::mixing::SWEEP_BLOCK;
@@ -42,11 +47,17 @@ use lmt_util::order::SortedPrefix;
 pub enum SizeGrid {
     /// Every integer size in `[⌈n/β⌉, n]` — exact Definition 2.
     ///
-    /// **Quadratic per step.** The witness check scans every window of
-    /// each size `R` over the sorted distribution, `O(n − R)` per size, so
-    /// all `n − ⌈n/β⌉ + 1` sizes together cost `Θ(n²)` per walk step
-    /// (about `(1 − 1/β)²·n²/2` window evaluations; ~4·10¹¹ at n = 2²⁰,
-    /// β = 8). Meant for small graphs and for cross-checking
+    /// **Still quadratic per step in the worst case.** The witness check
+    /// scans, for each size `R`, only the windows that hold at least
+    /// `1 − ε` of the mass (up to a rounding margin); for a probability
+    /// vector those are at most about `ε·n + 1` per size, because dropping
+    /// any `j` of the largest entries drops at least `j/n` of the mass. All
+    /// `n − ⌈n/β⌉ + 1` sizes together can still cost up to `O(ε·n²)`
+    /// window evaluations per walk step. A near-flat `p_t` costs `Θ(ε²·n²)`:
+    /// every size `R ≥ (1 − ε)·n` keeps all its `n − R + 1` windows, about
+    /// `ε²·n²/2` in total (~10⁹ at n = 2²⁰, ε = 1/8e). While the support
+    /// is small it is far cheaper: a size whose heaviest window is too light
+    /// is dropped in `O(1)`. Meant for small graphs and for cross-checking
     /// [`SizeGrid::Geometric`], which inspects only `O(log β / ε)` sizes.
     All,
     /// The paper's grid: `⌈n/β⌉, ⌈(1+ε)n/β⌉, ⌈(1+ε)²n/β⌉, …, n`.
@@ -189,11 +200,18 @@ pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
 }
 
 /// Reusable buffers for the per-step witness check: the id permutation,
-/// the prefix-sum structure, and the `s ∈ S` side buffers. These used to be
-/// allocated and sorted from scratch on every walk step; the scratch keeps
-/// the permutation **value-sorted from the previous step**, so each re-sort
-/// hands the adaptive stable sort nearly-sorted input, and `SortedPrefix`
-/// is refilled in place.
+/// the packed sort keys, the prefix-sum structure, and the `s ∈ S` side
+/// buffers, allocated once and refilled in place on every walk step.
+///
+/// The check is **support-sparse** and **prune-first**:
+/// [`load`](Self::load) emits the zero-mass ids in one `O(n)` pass and
+/// sorts only the support, and the grid scan hands each size to
+/// [`SortedPrefix::best_window_below`], which skips (by binary search, or
+/// the whole size in `O(1)`) every window too light to pass. While
+/// `supp(p_t)` is a small ball a step costs `O(n + k log k)` for `k` nonzero
+/// entries plus a few windows per size, instead of a full sort and
+/// `Θ(n)` windows per size. Every witness — size, `l1` bits, node list —
+/// is identical to the unpruned scan over the full `(value, id)` sort.
 ///
 /// This is *the* witness evaluator of the repo: the solo oracle
 /// ([`local_mixing_time`]), the blocked sweep ([`graph_local_mixing_time`]),
@@ -206,42 +224,98 @@ pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
 /// [`check_sorted`](Self::check_sorted) replays a stored snapshot through
 /// the identical scan — bit-for-bit the witness `check` on the original
 /// distribution returns, because the sorted view is a pure function of the
-/// distribution.
+/// distribution. The curve cache ([`crate::profile::SourceCurve`]) stores
+/// the same view without its zero run and replays it through the same
+/// scan.
 pub struct WitnessScratch {
-    /// Node ids, value-sorted as of the last check.
+    /// Node ids, `(value, id)`-sorted as of the last load.
     ids: Vec<u32>,
+    /// `(order key << 32) | id` of each nonzero entry (see [`order_key`]).
+    keys: Vec<u128>,
     sp: SortedPrefix,
     rest_ids: Vec<u32>,
     rest_sp: SortedPrefix,
+    /// Node-indexed marks for rebuilding a zero run; all `false` between
+    /// calls.
+    mark: Vec<bool>,
+    /// Windows evaluated by all scans so far.
+    windows: u64,
+}
+
+/// Order-preserving map of a non-NaN `f64` to `u64`: `a < b` iff
+/// `order_key(a) < order_key(b)`, negatives included, and `−0.0` maps to
+/// the key of `+0.0` (the two compare equal). Positive values get the sign
+/// bit set; negative values have all bits flipped, which reverses their
+/// magnitude order and puts them below every non-negative key.
+fn order_key(v: f64) -> u64 {
+    let bits = (v + 0.0).to_bits(); // −0.0 + 0.0 = +0.0
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`] (which is a bijection away from `−0.0`).
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 impl WitnessScratch {
-    /// Fresh buffers for `n`-node distributions.
+    /// Fresh buffers, pre-sized for `n`-node distributions.
     pub fn new(n: usize) -> Self {
         WitnessScratch {
-            ids: (0..n as u32).collect(),
+            ids: Vec::with_capacity(n),
+            keys: Vec::new(),
             sp: SortedPrefix::empty(),
             rest_ids: Vec::with_capacity(n),
             rest_sp: SortedPrefix::empty(),
+            mark: Vec::new(),
+            windows: 0,
         }
     }
 
-    /// Sort `ids` by `(value, id)` and refill the prefix sums.
+    /// Sort the ids of `p` by `(value, id)` and refill the prefix sums.
     ///
-    /// The explicit id tiebreak makes the order a pure function of `p` —
-    /// identical to the historical fresh stable sort (which started from
-    /// ascending ids, so ties landed in id order) no matter what
-    /// permutation the previous step left behind.
+    /// The order is a pure function of `p`: exactly the historical stable
+    /// sort of ascending ids by value. Zero entries (`±0.0`) tie with each
+    /// other, so they form one id-ascending run, which a single `O(n)` pass
+    /// emits directly. Only the nonzero entries are sorted, as packed
+    /// `(order key, id)` pairs with `sort_unstable`; the ids are unique, so
+    /// that is the comparator's order exactly. Negative entries (not walk
+    /// masses, but allowed) land before the zero run.
+    ///
+    /// # Panics
+    /// Panics with "NaN probability" if `p` holds a NaN.
     pub fn load(&mut self, p: &[f64]) {
-        debug_assert_eq!(p.len(), self.ids.len(), "scratch/distribution size");
-        let ids = &mut self.ids;
-        ids.sort_by(|&a, &b| {
-            p[a as usize]
-                .partial_cmp(&p[b as usize])
-                .expect("NaN probability")
-                .then(a.cmp(&b))
-        });
-        self.sp.refill_sorted(ids.iter().map(|&i| p[i as usize]));
+        self.ids.clear();
+        self.keys.clear();
+        for (i, &v) in p.iter().enumerate() {
+            if v == 0.0 {
+                self.ids.push(i as u32);
+            } else {
+                assert!(!v.is_nan(), "NaN probability");
+                self.keys.push(u128::from(order_key(v)) << 32 | i as u128);
+            }
+        }
+        self.keys.sort_unstable();
+        let zeros = self.ids.len();
+        let zero_key = u128::from(order_key(0.0)) << 32;
+        let neg = self.keys.partition_point(|&k| k < zero_key);
+        self.ids.extend(self.keys.iter().map(|&k| k as u32));
+        self.ids[..neg + zeros].rotate_left(zeros);
+        let val = |&k: &u128| key_value((k >> 32) as u64);
+        self.sp.refill_sorted(
+            self.keys[..neg]
+                .iter()
+                .map(val)
+                .chain(self.ids[neg..neg + zeros].iter().map(|&i| p[i as usize]))
+                .chain(self.keys[neg..].iter().map(val)),
+        );
     }
 
     /// Load a stored `(value, id)`-sorted snapshot (as produced by
@@ -296,18 +370,90 @@ impl WitnessScratch {
         self.scan(sizes, eps, src)
     }
 
+    /// The loaded sorted view with its zero run cut out: the nonzero
+    /// entries' ids and values, still `(value, id)`-ordered — the
+    /// support-only snapshot [`check_support`](Self::check_support)
+    /// replays.
+    pub(crate) fn support_snapshot(&self) -> (Vec<u32>, Vec<f64>) {
+        let vals = self.sp.values();
+        let zeros = vals.partition_point(|&v| v < 0.0)..vals.partition_point(|&v| v <= 0.0);
+        (
+            [&self.ids[..zeros.start], &self.ids[zeros.end..]].concat(),
+            [&vals[..zeros.start], &vals[zeros.end..]].concat(),
+        )
+    }
+
+    /// [`check_sorted`](Self::check_sorted) on a **support-only** snapshot
+    /// of an `n`-entry distribution: `ids` / `vals` are its nonzero entries
+    /// in `(value, id)` order, as
+    /// [`support_snapshot`](Self::support_snapshot) returns them. The zero
+    /// run (every other id, ascending) goes back in where the values cross
+    /// zero, as `+0.0`. The scan cannot tell a `−0.0` entry from `+0.0` (the prefix
+    /// sums start at `+0.0` and never become `−0.0`, and `|·|` and the
+    /// comparisons with `c = 1/R` agree on both), so the witness is
+    /// bit-for-bit the one [`check`](Self::check) returns on the original
+    /// distribution.
+    ///
+    /// # Panics
+    /// Panics if the slices disagree in length or an id is `≥ n`.
+    pub(crate) fn check_support(
+        &mut self,
+        n: usize,
+        ids: &[u32],
+        vals: &[f64],
+        sizes: &[usize],
+        eps: f64,
+        src: Option<usize>,
+    ) -> Option<Witness> {
+        assert_eq!(ids.len(), vals.len(), "snapshot ids/vals length mismatch");
+        let neg = vals.partition_point(|&v| v < 0.0);
+        self.mark.resize(n, false);
+        for &i in ids {
+            self.mark[i as usize] = true;
+        }
+        self.ids.clear();
+        self.ids.extend_from_slice(&ids[..neg]);
+        self.ids
+            .extend((0..n as u32).filter(|&i| !self.mark[i as usize]));
+        self.ids.extend_from_slice(&ids[neg..]);
+        for &i in ids {
+            self.mark[i as usize] = false;
+        }
+        self.sp.refill_sorted(
+            vals[..neg]
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n(0.0, n - ids.len()))
+                .chain(vals[neg..].iter().copied()),
+        );
+        self.scan(sizes, eps, src)
+    }
+
+    /// Windows evaluated by every scan of this scratch so far (cumulative;
+    /// binary-search probes not counted) — a deterministic work counter
+    /// for the pruned scan.
+    pub fn windows_scanned(&self) -> u64 {
+        self.windows
+    }
+
     /// The grid scan over the currently loaded sorted view. Reads values
     /// only through the sorted buffers, so the live-distribution and
     /// snapshot entry points share every instruction of the scan.
+    ///
+    /// Only the first passing size is reported, and a size's window search
+    /// skips only windows that provably cannot pass
+    /// ([`SortedPrefix::best_window_below`]), so the witness is the one the
+    /// unpruned scan finds.
     fn scan(&mut self, sizes: &[usize], eps: f64, src: Option<usize>) -> Option<Witness> {
         match src {
             None => {
                 for &r in sizes {
                     let c = 1.0 / r as f64;
-                    if let Some((lo, sum)) = self.sp.best_window(r, c) {
+                    let (best, scanned) = self.sp.best_window_below(r, c, eps);
+                    self.windows += scanned as u64;
+                    if let Some((lo, sum)) = best {
                         if sum < eps {
-                            let nodes =
-                                self.ids[lo..lo + r].iter().map(|&i| i as usize).collect();
+                            let nodes = self.ids[lo..lo + r].iter().map(|&i| i as usize).collect();
                             return Some(Witness {
                                 size: r,
                                 l1: sum,
@@ -345,7 +491,11 @@ impl WitnessScratch {
                     let (lo, sum) = if r == 1 {
                         (0, 0.0)
                     } else {
-                        match self.rest_sp.best_window(r - 1, c) {
+                        // `own + sum < eps` needs `sum < eps − own`: windows
+                        // provably at or above that bound cannot pass.
+                        let (best, scanned) = self.rest_sp.best_window_below(r - 1, c, eps - own);
+                        self.windows += scanned as u64;
+                        match best {
                             Some(w) => w,
                             None => continue,
                         }
@@ -770,6 +920,309 @@ mod tests {
         let g = gen::star(8);
         let err = graph_local_mixing_time(&g, &opts(2.0)).unwrap_err();
         assert_eq!(err, LocalMixError::NotRegular);
+    }
+
+    /// The historical witness check: ids sorted by the `(value, id)`
+    /// comparator, then every window of every size evaluated. The
+    /// differential reference for the support-sparse `load` and the pruned
+    /// scan; `window_abs_dev` evaluates a window with the expressions the
+    /// scan uses (pinned bitwise in `lmt_util::order`).
+    fn reference_check(
+        p: &[f64],
+        sizes: &[usize],
+        eps: f64,
+        src: Option<usize>,
+    ) -> Option<Witness> {
+        let mut ids: Vec<usize> = (0..p.len()).collect();
+        ids.sort_by(|&a, &b| {
+            p[a].partial_cmp(&p[b])
+                .expect("NaN probability")
+                .then(a.cmp(&b))
+        });
+        ids.retain(|&i| Some(i) != src);
+        let sp = SortedPrefix::new(ids.iter().map(|&i| p[i]).collect());
+        for &r in sizes {
+            let c = 1.0 / r as f64;
+            let w = if src.is_some() { r - 1 } else { r };
+            let (lo, sum) = if w == 0 {
+                (0, 0.0)
+            } else if w > sp.len() {
+                continue;
+            } else {
+                let mut best = (0, f64::INFINITY);
+                for lo in 0..=sp.len() - w {
+                    let v = sp.window_abs_dev(lo, lo + w, c);
+                    if v < best.1 {
+                        best = (lo, v);
+                    }
+                }
+                best
+            };
+            let l1 = match src {
+                Some(s) => (p[s] - c).abs() + sum,
+                None => sum,
+            };
+            if l1 < eps {
+                let mut nodes = ids[lo..lo + w].to_vec();
+                nodes.extend(src);
+                return Some(Witness { size: r, l1, nodes });
+            }
+        }
+        None
+    }
+
+    /// `local_mixing_time` by dense steps and [`reference_check`].
+    fn reference_tau<G: WalkGraph + ?Sized>(
+        g: &G,
+        src: usize,
+        o: &LocalMixOptions,
+    ) -> Result<(usize, Witness), LocalMixError> {
+        let sizes = size_grid(g.n(), o);
+        let mut p = Dist::point(g.n(), src);
+        for t in 0..=o.max_t {
+            if let Some(w) =
+                reference_check(p.as_slice(), &sizes, o.eps, o.require_source.then_some(src))
+            {
+                return Ok((t, w));
+            }
+            p = step(g, &p, o.kind);
+        }
+        Err(LocalMixError::NotMixedWithin(o.max_t))
+    }
+
+    type Digest = Option<(usize, u64, Vec<usize>)>;
+
+    fn digest(w: Option<Witness>) -> Digest {
+        w.map(|w| (w.size, w.l1.to_bits(), w.nodes))
+    }
+
+    /// Distributions for the differential test: runs of `+0.0` and `−0.0`,
+    /// values tied exactly at `1/r`, duplicates, and total mass 1 only up
+    /// to rounding, or not 1 at all.
+    fn witness_case() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+        use proptest::prelude::*;
+        (
+            proptest::collection::vec((0u32..6, 0.0f64..1.0), 1..36),
+            0u32..4,
+        )
+            .prop_map(|(raw, scale)| {
+                let n = raw.len();
+                let mut p: Vec<f64> = raw
+                    .iter()
+                    .map(|&(kind, x)| match kind {
+                        0 | 1 => 0.0,
+                        2 => x / n as f64,
+                        _ => x,
+                    })
+                    .collect();
+                let total: f64 = p.iter().sum();
+                let scale = [1.0, 1.0, 0.5, 2.5][scale as usize];
+                if total > 0.0 {
+                    p.iter_mut().for_each(|v| *v *= scale / total);
+                }
+                for (i, &(kind, x)) in raw.iter().enumerate() {
+                    match kind {
+                        1 if x < 0.3 => p[i] = -0.0,
+                        4 if x < 0.3 => {
+                            p[i] = 1.0 / (1 + (x * 10.0 * n as f64) as usize % n) as f64
+                        }
+                        5 if x < 0.2 => p[i] = p[(i + 1) % n],
+                        _ => {}
+                    }
+                }
+                p
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The pruned scan over the support-sparse sort returns exactly the
+        /// reference witness — size, `l1` bits and nodes — for both `src`
+        /// modes, both size grids, and thresholds `ε` placed exactly on,
+        /// and one rounding either side of, achieved window values.
+        #[test]
+        fn pruned_check_matches_full_reference(p in witness_case(), src in 0usize..36) {
+            let n = p.len();
+            let mut scratch = WitnessScratch::new(n);
+            for grid in [SizeGrid::All, SizeGrid::Geometric] {
+                for beta in [1.0, 2.0, 3.5, 8.0] {
+                    let sizes = size_grid(n, &LocalMixOptions { grid, ..opts(beta) });
+                    for src in [None, Some(src % n)] {
+                        let mut eps = vec![EPS, 0.02, 0.3];
+                        let mut e = 0.999;
+                        for _ in 0..3 {
+                            match reference_check(&p, &sizes, e, src) {
+                                Some(w) => {
+                                    eps.extend([w.l1, w.l1.next_up(), w.l1.next_down()]);
+                                    e = w.l1;
+                                }
+                                None => break,
+                            }
+                        }
+                        for eps in eps {
+                            let want = digest(reference_check(&p, &sizes, eps, src));
+                            let got = digest(scratch.check(&p, &sizes, eps, src));
+                            proptest::prop_assert!(
+                                got == want,
+                                "{:?} β={} src={:?} ε={}: {:?} != {:?}",
+                                grid, beta, src, eps, got, want
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_and_graph_sweep_match_full_reference() {
+        let graphs = [
+            gen::random_regular(24, 4, 3),
+            gen::random_regular(32, 6, 5),
+            gen::ring_of_cliques_regular(3, 6).0,
+            gen::ring_of_expanders(3, 10, 4, 7, true),
+        ];
+        for g in &graphs {
+            for grid in [SizeGrid::All, SizeGrid::Geometric] {
+                for require_source in [false, true] {
+                    for beta in [2.0, 4.0] {
+                        let o = LocalMixOptions {
+                            grid,
+                            require_source,
+                            kind: WalkKind::Lazy,
+                            max_t: 150,
+                            eps: 0.1,
+                            flat_policy: FlatPolicy::AssumeFlat,
+                            ..opts(beta)
+                        };
+                        let mut worst = Ok(0);
+                        for s in 0..g.n() {
+                            let want = reference_tau(g, s, &o);
+                            if s % 3 == 0 {
+                                let got = local_mixing_time(g, s, &o);
+                                assert_eq!(
+                                    got.map(|r| (r.tau, digest(Some(r.witness)))),
+                                    want.clone().map(|(t, w)| (t, digest(Some(w)))),
+                                    "source {s} {grid:?} require_source={require_source} β={beta}"
+                                );
+                            }
+                            worst = match (worst, want) {
+                                (Ok(a), Ok((b, _))) => Ok(a.max(b)),
+                                (Err(e), _) | (_, Err(e)) => Err(e),
+                            };
+                        }
+                        assert_eq!(graph_local_mixing_time(g, &o), worst);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn load_matches_comparator_sort() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let cases: [&[f64]; 4] = [
+            &[0.0, -0.0, 0.5, -0.0, 0.0, 0.5, 0.25],
+            &[
+                -1.5,
+                0.0,
+                tiny,
+                -tiny,
+                -0.0,
+                2.0 * tiny,
+                tiny,
+                -1.5,
+                f64::MIN_POSITIVE,
+            ],
+            &[3.0, -2.0, -2.0, 1e-300, -1e-300, 0.0, 7.0, 3.0, -0.0],
+            &[0.1, 0.1, 0.1, 0.1],
+        ];
+        let mut scratch = WitnessScratch::new(0);
+        for p in cases {
+            scratch.load(p);
+            let mut want: Vec<u32> = (0..p.len() as u32).collect();
+            want.sort_by(|&a, &b| {
+                p[a as usize]
+                    .partial_cmp(&p[b as usize])
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            assert_eq!(scratch.sorted_ids(), &want[..], "{p:?}");
+            let vals: Vec<u64> = scratch.sorted_vals().iter().map(|v| v.to_bits()).collect();
+            let want_vals: Vec<u64> = want.iter().map(|&i| p[i as usize].to_bits()).collect();
+            assert_eq!(vals, want_vals, "{p:?}");
+        }
+        for v in [
+            -1.5,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            1.0,
+            f64::MAX,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+        ] {
+            assert_eq!(key_value(order_key(v)).to_bits(), (v + 0.0).to_bits());
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN probability")]
+    fn load_rejects_nan() {
+        WitnessScratch::new(3).load(&[0.5, f64::NAN, 0.5]);
+    }
+
+    #[test]
+    fn pruned_scan_work_counter() {
+        // One oracle query on a 2¹²-node expander, without and with the
+        // `s ∈ S` constraint: the pruned scan evaluates a few hundred
+        // windows where the unpruned scan of every inspected size evaluates
+        // Σ (n − r + 1) ≈ 1.45 M. The pinned counts gate the pruning's work.
+        let g = gen::random_regular(1 << 12, 8, 1);
+        let n = g.n();
+        for (require_source, pinned) in [(false, 626), (true, 461)] {
+            let o = LocalMixOptions {
+                require_source,
+                ..opts(8.0)
+            };
+            let sizes = size_grid(n, &o);
+            let mut ev = Evolution::from_point(&g, 0, o.kind);
+            let mut scratch = WitnessScratch::new(n);
+            let mut unpruned = 0u64;
+            let mut t = 0;
+            let w = loop {
+                let found = scratch.check(ev.current(), &sizes, o.eps, require_source.then_some(0));
+                let inspected = found.as_ref().map_or(sizes.len(), |w| {
+                    sizes.iter().position(|&r| r == w.size).unwrap() + 1
+                });
+                unpruned += sizes[..inspected]
+                    .iter()
+                    .map(|&r| (n - r + 1) as u64)
+                    .sum::<u64>();
+                if let Some(w) = found {
+                    break w;
+                }
+                ev.step();
+                t += 1;
+            };
+            let oracle = local_mixing_time(&g, 0, &o).unwrap();
+            assert_eq!(
+                (t, digest(Some(w))),
+                (oracle.tau, digest(Some(oracle.witness)))
+            );
+            let scanned = scratch.windows_scanned();
+            assert_eq!(
+                scanned, pinned,
+                "require_source={require_source}: pinned window count"
+            );
+            assert!(
+                scanned * 100 <= unpruned,
+                "{scanned} windows scanned vs {unpruned} unpruned"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! while the per-step witness check is a cheap scan over a value-sorted view
 //! of `p_t`. A [`SourceCurve`] records exactly that sorted view —
 //! `(value, id)`-sorted ids plus the aligned ascending values, as produced by
-//! [`WitnessScratch::load`] — for every step taken so far, together with the
-//! last raw distribution for resuming the walk. Because the sorted view is a
-//! pure function of `p_t`, replaying a snapshot through
-//! [`WitnessScratch::check_sorted`] returns **bit-for-bit** the witness a
+//! [`WitnessScratch::load`], with the zero run cut out — for every step
+//! taken so far, together with the last raw distribution for resuming the
+//! walk. Because the sorted view is a pure function of `p_t`, and the zero
+//! run is every id missing from the snapshot in ascending order, replaying a
+//! snapshot through the witness scan returns **bit-for-bit** the witness a
 //! fresh [`crate::local::local_mixing_time`] call sees at step `t`: one
 //! evolution of `s` answers *every* subsequent `(β, ε)` query for `s`.
 //!
@@ -19,17 +20,21 @@
 //! [`SourceCurve::resume_dist`] (see
 //! [`crate::engine::BlockEvolution::from_dists`]).
 //!
-//! Memory: one snapshot is `12·n` bytes (`u32` id + `f64` value per node),
-//! so a curve recorded to step `T` holds `(T+1)·12·n` bytes plus the `8·n`
-//! resume distribution — [`SourceCurve::snapshot_bytes`] reports the
-//! footprint so long-lived caches can account for it.
+//! Memory: one snapshot is `12·|supp(p_t)|` bytes (`u32` id + `f64` value
+//! per nonzero entry), so a curve recorded to step `T` holds
+//! `12·Σ_t |supp(p_t)|` bytes plus the `8·n` resume distribution —
+//! [`SourceCurve::snapshot_bytes`] reports the footprint so long-lived
+//! caches can account for it. While the walk is local (the service's
+//! clique- and expander-ring regimes) that is a few percent of `12·n` per
+//! step.
 
 use crate::local::{Witness, WitnessScratch};
 use lmt_util::BitSet;
 
-/// One recorded step: the `(value, id)`-sorted view of `p_t`.
+/// One recorded step: the `(value, id)`-sorted view of `p_t` without its
+/// zero run.
 struct Snapshot {
-    /// Node ids sorted by `(value, id)`.
+    /// Ids of the nonzero entries, sorted by `(value, id)`.
     ids: Vec<u32>,
     /// Values aligned with `ids` (ascending); `vals[k] == p[ids[k]]`.
     vals: Vec<f64>,
@@ -70,15 +75,13 @@ impl SourceCurve {
     }
 
     /// Record the next step's distribution (step `t = recorded()` before the
-    /// call): snapshots the sorted view via [`WitnessScratch::load`] and
-    /// retains `p` as the new resume distribution. Nonzero entries join the
-    /// cumulative support.
+    /// call): snapshots the nonzero part of the sorted view of
+    /// [`WitnessScratch::load`] and retains `p` as the new resume
+    /// distribution. Nonzero entries join the cumulative support.
     pub fn record(&mut self, p: &[f64], scratch: &mut WitnessScratch) {
         scratch.load(p);
-        self.steps.push(Snapshot {
-            ids: scratch.sorted_ids().to_vec(),
-            vals: scratch.sorted_vals().to_vec(),
-        });
+        let (ids, vals) = scratch.support_snapshot();
+        self.steps.push(Snapshot { ids, vals });
         self.cur.clear();
         self.cur.extend_from_slice(p);
         if self.support.capacity() != p.len() {
@@ -118,7 +121,7 @@ impl SourceCurve {
         scratch: &mut WitnessScratch,
     ) -> Option<Witness> {
         let s = &self.steps[t];
-        scratch.check_sorted(&s.ids, &s.vals, sizes, eps, src)
+        scratch.check_support(self.cur.len(), &s.ids, &s.vals, sizes, eps, src)
     }
 
     /// First recorded step `t ≥ from_t` whose witness check passes, with its
@@ -220,6 +223,44 @@ mod tests {
     }
 
     #[test]
+    fn support_only_snapshots_replay_like_check() {
+        // The zero run is cut out of each snapshot and rebuilt on replay;
+        // `−0.0` entries come back as `+0.0`, negatives stay in front of
+        // the run. Witnesses must match `check` on the original vector.
+        let cases: [&[f64]; 3] = [
+            &[0.0, 0.25, -0.0, 0.25, 0.0, 0.5, 0.0, 0.0],
+            &[0.3, -0.1, 0.0, 0.3, -0.0, 0.5, 0.0, 0.0, 0.0],
+            &[0.125; 8],
+        ];
+        let mut scratch = WitnessScratch::new(0);
+        for p in cases {
+            let mut curve = SourceCurve::new();
+            curve.record(p, &mut scratch);
+            let n = p.len();
+            for beta in [1.0, 2.0, 4.0] {
+                let o = LocalMixOptions {
+                    grid: crate::local::SizeGrid::All,
+                    ..LocalMixOptions::new(beta)
+                };
+                let sizes = size_grid(n, &o);
+                for eps in [0.01, 0.2, 0.6, 1.5] {
+                    for src in [None, Some(2), Some(5)] {
+                        let want = scratch.check(p, &sizes, eps, src);
+                        let got = curve.witness_at(0, &sizes, eps, src, &mut scratch);
+                        let digest =
+                            |w: Option<Witness>| w.map(|w| (w.size, w.l1.to_bits(), w.nodes));
+                        assert_eq!(
+                            digest(got),
+                            digest(want),
+                            "{p:?} β={beta} ε={eps} src={src:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn resume_dist_is_last_recorded_step() {
         let g = gen::complete(12);
         let curve = record_curve(&g, 0, WalkKind::Simple, 4);
@@ -229,7 +270,9 @@ mod tests {
             ev.step();
         }
         assert_eq!(curve.resume_dist(), ev.current());
-        assert!(curve.snapshot_bytes() >= 5 * 12 * g.n());
+        // Snapshots hold only nonzero entries: 1, 11, then 12 ×3 of them.
+        let entries = 1 + 11 + 3 * 12;
+        assert_eq!(curve.snapshot_bytes(), 12 * entries + 8 * g.n() + 2);
     }
 
     #[test]
