@@ -72,8 +72,9 @@ pub(crate) fn check_node_count(n: usize) -> Result<(), GraphError> {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,
-    /// Directed half-edges; each `add_edge` pushes both directions.
-    arcs: Vec<(u32, u32)>,
+    /// Undirected edges as inserted, one entry per `add_edge`; both
+    /// directions are scattered into the CSR at build time.
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -94,7 +95,7 @@ impl GraphBuilder {
         check_node_count(n)?;
         Ok(GraphBuilder {
             n,
-            arcs: Vec::new(),
+            edges: Vec::new(),
         })
     }
 
@@ -111,8 +112,7 @@ impl GraphBuilder {
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range n={}", self.n);
         assert_ne!(u, v, "self-loop at {u} rejected (simple graphs only)");
         // In range: u, v < n ≤ u32::MAX (checked at construction).
-        self.arcs.push((u as u32, v as u32));
-        self.arcs.push((v as u32, u as u32));
+        self.edges.push((u as u32, v as u32));
         self
     }
 
@@ -126,11 +126,11 @@ impl GraphBuilder {
 
     /// Reserve capacity for `extra` more undirected edges.
     pub fn reserve(&mut self, extra: usize) -> &mut Self {
-        self.arcs.reserve(2 * extra);
+        self.edges.reserve(extra);
         self
     }
 
-    /// Finish: sort, deduplicate, and assemble CSR.
+    /// Finish: bucket by source node, deduplicate, and assemble CSR.
     ///
     /// # Panics
     /// Panics if the deduplicated edge-slot count overflows the compact
@@ -144,30 +144,91 @@ impl GraphBuilder {
     /// (deduplicated) `2m + n` slot count overflows the `u32` offset space
     /// with [`GraphError::TooManyEdgeSlots`] — the failure mode the compact
     /// layout introduces, reported instead of silently wrapping offsets.
-    pub fn try_build(mut self) -> Result<Graph, GraphError> {
-        self.arcs.sort_unstable();
-        self.arcs.dedup();
-        check_edge_slots(self.arcs.len(), self.n)?;
+    ///
+    /// The CSR is assembled by a counting sort on the source node: count
+    /// each node's degree (duplicates included), scatter both directions of
+    /// every edge into its row, then sort and deduplicate each row,
+    /// compacting the rows leftward in place. That is `O(m + Σ d_u log d_u)`
+    /// with no comparison sort over the whole edge list, and peaks at the
+    /// edge list plus one `u32` per half-edge and one `usize` per node.
+    /// Rows come out ascending and duplicate-free, exactly as a sort +
+    /// dedup of all half-edges would give them.
+    pub fn try_build(self) -> Result<Graph, GraphError> {
+        let n = self.n;
+        // `end[u]`: start of row u after the prefix sum; the scatter below
+        // advances it to the end of row u.
+        let mut end = vec![0usize; n + 1];
+        for &(u, v) in &self.edges {
+            end[u as usize + 1] += 1;
+            end[v as usize + 1] += 1;
+        }
+        for u in 0..n {
+            end[u + 1] += end[u];
+        }
+        let mut neighbors = vec![0u32; 2 * self.edges.len()];
+        for &(u, v) in &self.edges {
+            neighbors[end[u as usize]] = v;
+            end[u as usize] += 1;
+            neighbors[end[v as usize]] = u;
+            end[v as usize] += 1;
+        }
+        drop(self.edges);
+        // Sort and deduplicate each row; `end[u]` becomes the compacted end.
+        let (mut start, mut write) = (0, 0);
+        for row_end in &mut end[..n] {
+            neighbors[start..*row_end].sort_unstable();
+            let row_write = write;
+            for k in start..*row_end {
+                let v = neighbors[k];
+                if write == row_write || neighbors[write - 1] != v {
+                    neighbors[write] = v;
+                    write += 1;
+                }
+            }
+            start = *row_end;
+            *row_end = write;
+        }
+        neighbors.truncate(write);
+        neighbors.shrink_to_fit();
+        check_edge_slots(write, n)?;
+        // Fits: every offset is ≤ 2m < u32::MAX (guard above).
+        let offsets: Vec<EdgeIndex> = std::iter::once(0)
+            .chain(end[..n].iter().map(|&e| e as EdgeIndex))
+            .collect();
+        Ok(Graph::from_raw(offsets, neighbors))
+    }
+
+    /// The former comparison-sort assembly (sort + dedup all half-edges),
+    /// kept as the differential reference for the counting sort.
+    #[cfg(test)]
+    pub(crate) fn build_by_sort(self) -> Graph {
+        let mut arcs: Vec<(u32, u32)> = self
+            .edges
+            .iter()
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .collect();
+        arcs.sort_unstable();
+        arcs.dedup();
+        check_edge_slots(arcs.len(), self.n).expect("edge slots exceed u32 offset range");
         let mut offsets: Vec<EdgeIndex> = Vec::with_capacity(self.n + 1);
-        let mut neighbors = Vec::with_capacity(self.arcs.len());
+        let mut neighbors = Vec::with_capacity(arcs.len());
         offsets.push(0);
         let mut idx = 0;
         for u in 0..self.n as u32 {
-            while idx < self.arcs.len() && self.arcs[idx].0 == u {
-                neighbors.push(self.arcs[idx].1);
+            while idx < arcs.len() && arcs[idx].0 == u {
+                neighbors.push(arcs[idx].1);
                 idx += 1;
             }
-            // Fits: neighbors.len() ≤ 2m < u32::MAX (guard above).
             offsets.push(neighbors.len() as EdgeIndex);
         }
-        debug_assert_eq!(idx, self.arcs.len());
-        Ok(Graph::from_raw(offsets, neighbors))
+        Graph::from_raw(offsets, neighbors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dedup_merges_parallel_edges() {
@@ -254,5 +315,53 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.try_build().unwrap();
         assert_eq!(g.m(), 1);
+    }
+
+    /// Edge lists over `n ∈ 0..24` nodes: random pairs, each inserted 1–3
+    /// times in a random orientation, plus the edge between the first and
+    /// last node ids whenever there are two nodes to join.
+    fn noisy_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+        (0usize..24).prop_flat_map(|n| {
+            let ids = 0..n.max(1);
+            let picks =
+                proptest::collection::vec((ids.clone(), ids, any::<bool>(), 1usize..4), 0..80);
+            (Just(n), picks).prop_map(|(n, picks)| {
+                let mut edges = Vec::new();
+                if n >= 2 {
+                    edges.push((n - 1, 0));
+                }
+                for (u, v, flip, copies) in picks {
+                    if u != v {
+                        for c in 0..copies {
+                            edges.push(if flip ^ (c % 2 == 1) { (v, u) } else { (u, v) });
+                        }
+                    }
+                }
+                (n, edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counting_sort_matches_sort_and_dedup((n, edges) in noisy_edge_list()) {
+            let mut b = GraphBuilder::new(n);
+            b.extend_edges(edges.iter().copied());
+            let reference = b.clone().build_by_sort();
+            let g = b.build();
+            prop_assert!(g.validate().is_ok());
+            prop_assert_eq!(g, reference);
+        }
+    }
+
+    #[test]
+    fn counting_sort_on_empty_and_single_node_graphs() {
+        for n in [0, 1] {
+            let b = GraphBuilder::new(n);
+            assert_eq!(b.clone().build(), b.build_by_sort());
+        }
+        assert_eq!(GraphBuilder::new(0).build().n(), 0);
     }
 }

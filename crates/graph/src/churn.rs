@@ -400,26 +400,47 @@ impl ChurnGraph {
     }
 
     /// Merge `base + delta` into a fresh CSR.
+    ///
+    /// Walks `delta` in key order: each run of untouched rows between two
+    /// edited ones is one bulk copy of base neighbors plus its offsets
+    /// shifted by the edits so far, and each edited row is one merge.
     fn rebuild(base: &Graph, delta: &BTreeMap<u32, NodeDelta>, half_edges: usize) -> Graph {
         let n = base.n();
+        let (base_offsets, base_neighbors) = base.raw_parts();
         let mut offsets: Vec<EdgeIndex> = Vec::with_capacity(n + 1);
         let mut neighbors: Vec<u32> = Vec::with_capacity(half_edges);
         offsets.push(0);
-        for u in 0..n {
-            match delta.get(&(u as u32)) {
-                None => neighbors.extend_from_slice(base.neighbors_raw(u)),
-                Some(nd) => neighbors.extend(MergedRow {
-                    base: base.neighbors_raw(u),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                }),
-            }
-            // Fits: half_edges stayed under the slot guard at every insert.
+        // Rows `lo..hi` unedited: copy them and their shifted ends. Fits:
+        // half_edges stayed under the slot guard at every insert, and the
+        // wrapping shift is exact because every result fits in u32.
+        let copy_rows =
+            |lo: usize, hi: usize, offsets: &mut Vec<EdgeIndex>, neighbors: &mut Vec<u32>| {
+                let shift = (neighbors.len() as EdgeIndex).wrapping_sub(base_offsets[lo]);
+                offsets.extend(
+                    base_offsets[lo + 1..=hi]
+                        .iter()
+                        .map(|&o| o.wrapping_add(shift)),
+                );
+                neighbors.extend_from_slice(
+                    &base_neighbors[base_offsets[lo] as usize..base_offsets[hi] as usize],
+                );
+            };
+        let mut next = 0;
+        for (&u, nd) in delta {
+            let u = u as usize;
+            copy_rows(next, u, &mut offsets, &mut neighbors);
+            neighbors.extend(MergedRow {
+                base: base.neighbors_raw(u),
+                ins: &nd.ins,
+                del: &nd.del,
+                b: 0,
+                i: 0,
+                d: 0,
+            });
             offsets.push(neighbors.len() as EdgeIndex);
+            next = u + 1;
         }
+        copy_rows(next, n, &mut offsets, &mut neighbors);
         debug_assert_eq!(neighbors.len(), half_edges);
         Graph::from_raw(offsets, neighbors)
     }
@@ -699,6 +720,55 @@ mod tests {
         let step = cg.sample_step(0, &mut rng);
         assert!(step == 1 || step == 3);
         assert!(cg.memory_bytes() > cg.base().memory_bytes());
+    }
+
+    #[test]
+    fn rebuild_matches_builder_over_live_edge_set() {
+        // The live edge set is tracked independently (base − deletes +
+        // inserts) and rebuilt with the builder after every batch. Batches
+        // edit node 0, node n − 1, adjacent rows, and re-toggle earlier
+        // edits, without compaction in between.
+        use rand::Rng;
+        use std::collections::BTreeSet;
+        let base = gen::random_regular(64, 4, 3);
+        let n = base.n();
+        let mut live: BTreeSet<(usize, usize)> = base.edges().collect();
+        let mut cg = ChurnGraph::new(base);
+        let mut rng = lmt_util::rng::fork(17, 0);
+        let mut batches: Vec<Vec<(usize, usize)>> = vec![
+            vec![(0, 1)],
+            vec![(n - 1, n - 2)],
+            vec![(0, n - 1), (n - 1, 1)],
+            vec![(5, 6), (6, 7), (7, 8), (8, 9)],
+            vec![(0, 1), (n - 2, n - 1)],
+        ];
+        for _ in 0..30 {
+            let k = rng.gen_range(1..5);
+            batches.push(
+                (0..k)
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                    .filter(|(u, v)| u != v)
+                    .collect(),
+            );
+        }
+        for batch in batches {
+            let edits: Vec<EdgeEdit> = batch
+                .into_iter()
+                .map(|(u, v)| {
+                    if live.remove(&(u.min(v), u.max(v))) {
+                        EdgeEdit::delete(u, v)
+                    } else {
+                        live.insert((u.min(v), u.max(v)));
+                        EdgeEdit::insert(u, v)
+                    }
+                })
+                .collect();
+            cg.apply(&edits).unwrap();
+            let mut b = crate::GraphBuilder::new(n);
+            b.extend_edges(live.iter().copied());
+            assert_eq!(cg.topology(), &b.build(), "after {edits:?}");
+        }
+        assert!(!cg.is_compacted());
     }
 
     #[test]

@@ -54,6 +54,13 @@ impl Graph {
         g
     }
 
+    /// The raw CSR arrays `(offsets, neighbors)`, for crate-internal
+    /// bulk copies.
+    #[inline]
+    pub(crate) fn raw_parts(&self) -> (&[EdgeIndex], &[u32]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Number of nodes `n`.
     #[inline]
     pub fn n(&self) -> usize {

@@ -1,13 +1,14 @@
 //! Elementary families: complete, path, cycle, star, complete bipartite.
 //!
 //! `path` and `cycle` assemble their (trivially sorted) CSR arrays
-//! directly instead of going through [`GraphBuilder`]: the builder
-//! materializes and sorts `2·2m` half-edge tuples before assembly, which
-//! at the ROADMAP's 10⁷⁺-node scale costs several transient GiB for a
-//! structure whose adjacency is known in closed form. The emitted graphs
-//! are element-for-element identical to the builder's output (both are
-//! checked by `Graph::validate` in debug builds, and the regression tests
-//! below pin the equality).
+//! directly instead of going through [`GraphBuilder`]: the builder keeps
+//! every inserted edge (8 bytes) until its counting sort has scattered
+//! both directions into the neighbor array, with a `usize` cursor per
+//! node — 8 bytes per edge and 8 per node of transient memory on top of
+//! the result, for a structure whose adjacency is known in closed form.
+//! The emitted graphs are element-for-element identical to the builder's
+//! output (both are checked by `Graph::validate` in debug builds, and the
+//! regression tests below pin the equality).
 
 use crate::csr::EdgeIndex;
 use crate::{Graph, GraphBuilder};

@@ -1,6 +1,8 @@
 //! Randomized families: random d-regular graphs (the paper's stand-in for
 //! d-regular expanders), Erdős–Rényi, and composite expander chains.
 
+use crate::builder::check_edge_slots;
+use crate::csr::EdgeIndex;
 use crate::{Graph, GraphBuilder};
 use lmt_util::rng::fork;
 use rand::seq::SliceRandom;
@@ -18,11 +20,32 @@ use rand::Rng;
 /// A random d-regular graph is an expander with high probability, which is
 /// exactly how §2.3(b) uses the family (`τ_s = τ_mix = Θ(log n)`).
 ///
+/// # Stub-slot table
+///
+/// Every node owns exactly `d` stubs, so one array of `n·d` slots, row `u`
+/// = `u·d..u·d + d`, holds the partner of each stub. The multiplicity of
+/// `{a, b}` is the number of `b`s in row `a` (a self-loop puts `a` twice in
+/// row `a`), an accepted swap rewrites one slot in each of the four rows it
+/// touches, and once the pairing is simple the rows, sorted, *are* the CSR
+/// neighbor array with offsets `u·d`. The first defect pass checks only the
+/// pairs whose first endpoint's row has a repeated entry or its own id;
+/// later passes rescan only the previous defect list, since a swap only
+/// ever creates a pair whose multiplicity was 0, so no pair off that list
+/// can turn defective.
+///
+/// Cost: one shuffle of the `n·d` stubs, two scattered writes per pair, a
+/// sort of every length-`d` row, and `O(d)` work per swap attempt. Peak
+/// heap is `8·n·d + 4·n` bytes (stub list, slot table, per-row fill
+/// counters): 1.06 GiB at `n = 2²⁴, d = 8`. The slot table is kept as the
+/// returned graph's neighbor array.
+///
 /// # Panics
-/// Panics if `n·d` is odd, `d ≥ n`, or repair stalls.
+/// Panics if `n·d` is odd, `d ≥ n`, the edge slots `n·d + n` overflow the
+/// compact `u32` offsets (before anything is allocated), or repair stalls.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!(d >= 1, "random_regular: d must be ≥ 1");
     assert!(d < n, "random_regular: need d < n");
+    check_edge_slots(n.saturating_mul(d), n).expect("edge slots exceed u32 offset range");
     assert!((n * d).is_multiple_of(2), "random_regular: n·d must be even");
     if d == n - 1 {
         // The unique (n−1)-regular graph is K_n; the swap repair has zero
@@ -31,6 +54,116 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     }
     let mut rng = fork(seed, 0xD_1234);
     // Stubs: node u appears d times; pair consecutively after a shuffle.
+    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
+    for u in 0..n as u32 {
+        for _ in 0..d {
+            stubs.push(u);
+        }
+    }
+    stubs.shuffle(&mut rng);
+    let pair_count = stubs.len() / 2;
+
+    // The stub-slot table. Fits: n·d < u32::MAX (guard above).
+    let mut slots = vec![0u32; n * d];
+    let mut fill = vec![0u32; n];
+    for p in stubs.chunks_exact(2) {
+        for (a, b) in [(p[0], p[1]), (p[1], p[0])] {
+            slots[a as usize * d + fill[a as usize] as usize] = b;
+            fill[a as usize] += 1;
+        }
+    }
+    drop(fill);
+    let row = |u: u32| u as usize * d..(u as usize + 1) * d;
+    // Multiplicity of {a, b} for a ≠ b: the number of b's in row a.
+    let count = |slots: &[u32], a: u32, b: u32| slots[row(a)].iter().filter(|&&x| x == b).count();
+    let pair = |stubs: &[u32], i: usize| (stubs[2 * i], stubs[2 * i + 1]);
+    let is_bad = |slots: &[u32], (a, b): (u32, u32)| a == b || count(slots, a, b) > 1;
+
+    // First pass: only a row with a repeated entry or its own id can hold
+    // a defective pair's first endpoint. Sorting a row reorders nothing a
+    // count can see.
+    let mut flagged = vec![false; n];
+    for (u, r) in slots.chunks_exact_mut(d).enumerate() {
+        r.sort_unstable();
+        flagged[u] = r.windows(2).any(|w| w[0] == w[1]) || r.binary_search(&(u as u32)).is_ok();
+    }
+    let mut bad: Vec<usize> = (0..pair_count)
+        .filter(|&i| flagged[stubs[2 * i] as usize] && is_bad(&slots, pair(&stubs, i)))
+        .collect();
+    drop(flagged);
+
+    // Rows rewritten by a swap; re-sorted once repair is done.
+    let mut touched: Vec<u32> = Vec::new();
+    let mut guard = 0usize;
+    while !bad.is_empty() {
+        guard += 1;
+        assert!(
+            guard <= 200,
+            "random_regular({n},{d}): repair stalled with {} defects",
+            bad.len()
+        );
+        for &i in &bad {
+            if !is_bad(&slots, pair(&stubs, i)) {
+                continue; // fixed as a side effect of an earlier swap
+            }
+            for _ in 0..200 {
+                let j = rng.gen_range(0..pair_count);
+                if j == i {
+                    continue;
+                }
+                let ((a, b), (c, e)) = (pair(&stubs, i), pair(&stubs, j));
+                // Propose (a,b),(c,e) → (a,e),(c,b).
+                if a == e || c == b {
+                    continue;
+                }
+                if (a.min(e), a.max(e)) == (c.min(b), c.max(b))
+                    || count(&slots, a, e) > 0
+                    || count(&slots, c, b) > 0
+                {
+                    continue;
+                }
+                // Accept: defect at i disappears; j stays simple.
+                for (u, old, new) in [(a, b, e), (b, a, c), (c, e, b), (e, c, a)] {
+                    let r = &mut slots[row(u)];
+                    let k = r
+                        .iter()
+                        .position(|&x| x == old)
+                        .expect("stub-slot table out of sync");
+                    r[k] = new;
+                }
+                touched.extend([a, b, c, e]);
+                stubs[2 * i + 1] = e;
+                stubs[2 * j + 1] = b;
+                break;
+            }
+        }
+        // A pair no swap touched can only have lost multiplicity, and a
+        // swapped-in pair enters with multiplicity 1: the next defects are
+        // a subset of these, in the same order.
+        bad.retain(|&i| is_bad(&slots, pair(&stubs, i)));
+    }
+    drop(stubs);
+
+    for u in touched {
+        slots[row(u)].sort_unstable();
+    }
+    // Fits: every offset is ≤ n·d < u32::MAX (guard above).
+    let offsets: Vec<EdgeIndex> = (0..=n).map(|u| (u * d) as EdgeIndex).collect();
+    Graph::from_raw(offsets, slots)
+}
+
+/// The former map-based generator (SipHash multiplicity map, full defect
+/// rescans, comparison-sort builder), kept as the differential reference
+/// for [`random_regular`].
+#[cfg(test)]
+pub(crate) fn random_regular_reference(n: usize, d: usize, seed: u64) -> Graph {
+    assert!(d >= 1, "random_regular: d must be ≥ 1");
+    assert!(d < n, "random_regular: need d < n");
+    assert!((n * d).is_multiple_of(2), "random_regular: n·d must be even");
+    if d == n - 1 {
+        return crate::gen::complete(n);
+    }
+    let mut rng = fork(seed, 0xD_1234);
     let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
     for u in 0..n as u32 {
         for _ in 0..d {
@@ -66,7 +199,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
         );
         for i in bad {
             if !is_bad(pairs[i], &multiplicity) {
-                continue; // fixed as a side effect of an earlier swap
+                continue;
             }
             for _ in 0..200 {
                 let j = rng.gen_range(0..pairs.len());
@@ -75,7 +208,6 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
                 }
                 let (a, b) = pairs[i];
                 let (c, e) = pairs[j];
-                // Propose (a,b),(c,e) → (a,e),(c,b).
                 if a == e || c == b {
                     continue;
                 }
@@ -87,7 +219,6 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
                 {
                     continue;
                 }
-                // Accept: defect at i disappears; j stays simple.
                 *multiplicity.get_mut(&norm(a, b)).unwrap() -= 1;
                 *multiplicity.get_mut(&norm(c, e)).unwrap() -= 1;
                 *multiplicity.entry(new1).or_insert(0) += 1;
@@ -103,7 +234,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     for &(u, v) in &pairs {
         b.add_edge(u as usize, v as usize);
     }
-    let g = b.build();
+    let g = b.build_by_sort();
     assert_eq!(g.m(), n * d / 2, "repair produced a non-simple multigraph");
     g
 }
@@ -181,6 +312,58 @@ mod tests {
         let g = random_regular(200, 3, 1);
         let (_, count) = components(&g);
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn stub_slot_table_matches_map_reference() {
+        let mut cases: Vec<(usize, usize)> = Vec::new();
+        for n in [16, 17, 30, 257] {
+            cases.extend((1..=15).map(|d| (n, d)));
+        }
+        // Dense: repair works hard, often for several passes.
+        cases.extend([
+            (12, 9),
+            (12, 10),
+            (8, 6),
+            (10, 8),
+            (16, 14),
+            (17, 15),
+            (40, 37),
+        ]);
+        // d = n − 1 goes through `complete`.
+        cases.extend([(2, 1), (6, 5), (16, 15)]);
+        cases.push((1 << 12, 8));
+        for (n, d) in cases {
+            if d >= n || (n * d) % 2 == 1 {
+                continue;
+            }
+            for seed in 0..4 {
+                assert_eq!(
+                    outcome(|| random_regular(n, d, seed)),
+                    outcome(|| random_regular_reference(n, d, seed)),
+                    "random_regular({n}, {d}, {seed})"
+                );
+            }
+        }
+    }
+
+    /// The graph, or the panic message: a stalled repair (e.g. at
+    /// `d = n − 2` for odd `n`) must stall identically, defect count
+    /// included.
+    fn outcome(f: impl FnOnce() -> Graph + std::panic::UnwindSafe) -> Result<Graph, String> {
+        std::panic::catch_unwind(f).map_err(|e| match e.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(e) => e
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "edge slots exceed u32 offset range")]
+    fn oversized_stub_count_panics_before_allocating() {
+        // n·d = 2³², a 16 GiB stub array if it were allocated.
+        let _ = random_regular(1 << 29, 8, 0);
     }
 
     #[test]
