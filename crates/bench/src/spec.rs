@@ -20,7 +20,7 @@
 
 use lmt_congest::fault::FaultPlan;
 use lmt_graph::gen::{self, Workload};
-use lmt_graph::{ChurnGraph, EdgeEdit, Graph, WalkGraph, WeightedGraph};
+use lmt_graph::{ChurnGraph, EdgeEdit, Graph, SwapDrawer, WalkGraph, WeightedGraph};
 
 use crate::json::Json;
 
@@ -194,45 +194,21 @@ impl ChurnSpec {
     }
 
     /// Materialize the edit-batch schedule against `base`: each batch is
-    /// one 2-swap drawn (xorshift64* stream — same spec, same schedule,
-    /// always) from the topology *as edited so far*, so later batches stay
-    /// valid after earlier ones land. Batches where 64 draws find no valid
-    /// swap are skipped (tiny dense graphs).
+    /// one 2-swap drawn by a [`SwapDrawer`] seeded with `seed` (same spec,
+    /// same schedule, always) from the topology *as edited so far*, so
+    /// later batches stay valid after earlier ones land. Batches where the
+    /// drawer finds no valid swap are skipped (tiny dense graphs).
     pub fn schedule(&self, base: &Graph) -> Vec<Vec<EdgeEdit>> {
         let ChurnSpec::Swap { batches, seed } = *self else {
             return Vec::new();
         };
         let mut cg = ChurnGraph::new(base.clone());
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut swaps = SwapDrawer::new(seed);
         let mut out = Vec::new();
         for _ in 0..batches {
-            let g = cg.topology();
-            let edges: Vec<(usize, usize)> = g.edges().collect();
-            let swap = (0..64).find_map(|_| {
-                let (a, b) = edges[(next() % edges.len() as u64) as usize];
-                let (c, d) = edges[(next() % edges.len() as u64) as usize];
-                (a != c && a != d && b != c && b != d
-                    && !g.has_edge(a, c)
-                    && !g.has_edge(b, d))
-                .then(|| {
-                    vec![
-                        EdgeEdit::delete(a, b),
-                        EdgeEdit::delete(c, d),
-                        EdgeEdit::insert(a, c),
-                        EdgeEdit::insert(b, d),
-                    ]
-                })
-            });
-            if let Some(batch) = swap {
-                use lmt_graph::Churnable;
-                cg.apply_edits(&batch).expect("drawn swap is valid");
-                out.push(batch);
+            if let Some(batch) = swaps.draw(cg.topology()) {
+                cg.apply(&batch).expect("drawn swap is valid");
+                out.push(batch.to_vec());
             }
         }
         out

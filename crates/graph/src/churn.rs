@@ -1,32 +1,21 @@
-//! Dynamic (edge-churn) graphs: a base CSR plus an insert/delete delta log,
-//! periodically compacted back into plain CSR form.
+//! Dynamic (edge-churn) graphs: one CSR, rebuilt on every edit batch.
 //!
 //! [`ChurnGraph`] is the substrate for the ROADMAP's dynamic-network
 //! workload — P2P overlays with continual joins/leaves, the scenario the
-//! paper's CONGEST model abstracts away. It implements [`WalkGraph`], so the
-//! walk engine, Algorithm 2, and the CONGEST flood run unmodified over a
-//! churning topology, and it keeps a **materialized current CSR**
-//! ([`WalkGraph::topology`]) so every topology-shaped consumer (BFS trees,
-//! frontier scans, the dense-crossover volume test) sees the post-edit
-//! graph without code changes.
+//! paper's CONGEST model abstracts away. It holds exactly one [`Graph`],
+//! the current topology, and implements [`WalkGraph`] by delegating every
+//! method to it, so the walk engine, Algorithm 2, and the CONGEST flood
+//! run unmodified over a churning topology, and every topology-shaped
+//! consumer ([`WalkGraph::topology`]: BFS trees, frontier scans, the
+//! dense-crossover volume test) sees the post-edit graph.
 //!
 //! # Bit-for-bit contract
 //!
-//! The hot kernels ([`WalkGraph::pull`] / [`WalkGraph::pull_block`])
-//! preserve the static [`Graph`] arithmetic exactly:
-//!
-//! * a node whose adjacency row carries **no pending delta** dispatches to
-//!   the current CSR's kernels (the const-generic explicit-lane `pull_block`
-//!   for widths 1/2/4/8 included), and
-//! * an **edited row** is traversed through a sorted three-way merge of
-//!   `base \ deleted ∪ inserted` — the same ascending-neighbor order, one
-//!   add per live neighbor, with the *current* degree of each neighbor —
-//!   which is precisely the operation sequence the static kernel performs
-//!   on the compacted row.
-//!
-//! Hence zero-churn results are bit-identical to the static `Graph`, and a
-//! compacted graph is bit-identical to its uncompacted twin — the
-//! properties `tests/determinism.rs`'s churn layer pins.
+//! The CSR *is* the post-edit graph: after every batch it is the exact
+//! CSR a [`crate::GraphBuilder`] makes of the live edge set, and every
+//! kernel is the static one. So each result over a `ChurnGraph` is
+//! bit-identical to the static [`Graph`] of the same topology, zero churn
+//! included — the properties `tests/determinism.rs`'s churn layer pins.
 //!
 //! # Edit semantics
 //!
@@ -34,7 +23,11 @@
 //! it either applies entirely or returns a typed [`ChurnError`] leaving the
 //! graph untouched. Node count is fixed (edge churn only); inserts reuse the
 //! compact-offset capacity guards of [`crate::GraphError`], so a churned
-//! graph can never outgrow the `u32` CSR layout it compacts back into.
+//! graph can never outgrow the `u32` CSR layout. A batch costs one
+//! `O(n + m)` rebuild in which every run of unedited rows is one bulk copy.
+//!
+//! [`SwapDrawer`] is the seeded degree-preserving edit stream the sweep
+//! harness's churn schedules and the churn tests draw from.
 
 use std::collections::BTreeMap;
 
@@ -148,19 +141,13 @@ impl From<GraphError> for ChurnError {
     }
 }
 
-/// Per-node delta versus the base CSR row. Invariants: both lists sorted
-/// ascending and duplicate-free, `del ⊆ base row`, `ins ∩ base row = ∅`
-/// (re-inserting a deleted base edge cancels the deletion instead).
-#[derive(Clone, Debug, Default)]
-struct NodeDelta {
+/// One batch's edits to a row. Invariants: both lists sorted ascending and
+/// duplicate-free, `del ⊆ old row`, `ins ∩ old row = ∅` (re-inserting a
+/// deleted edge cancels the deletion instead).
+#[derive(Default)]
+struct RowEdit {
     ins: Vec<u32>,
     del: Vec<u32>,
-}
-
-impl NodeDelta {
-    fn is_empty(&self) -> bool {
-        self.ins.is_empty() && self.del.is_empty()
-    }
 }
 
 /// Insert `v` into the sorted list `list` (must be absent).
@@ -180,175 +167,65 @@ fn sorted_remove(list: &mut Vec<u32>, v: u32) -> bool {
     }
 }
 
-/// Ascending merge of `base \ del ∪ ins` (see [`NodeDelta`]'s invariants:
-/// the two result streams are disjoint, so the merge is a plain two-way
-/// interleave with deleted base entries skipped).
-struct MergedRow<'a> {
-    base: &'a [u32],
-    ins: &'a [u32],
-    del: &'a [u32],
-    b: usize,
-    i: usize,
-    d: usize,
-}
-
-impl Iterator for MergedRow<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            if self.b < self.base.len() {
-                let x = self.base[self.b];
-                if self.d < self.del.len() && self.del[self.d] == x {
-                    self.b += 1;
-                    self.d += 1;
-                    continue;
-                }
-                if self.i < self.ins.len() && self.ins[self.i] < x {
-                    self.i += 1;
-                    return Some(self.ins[self.i - 1]);
-                }
-                self.b += 1;
-                return Some(x);
-            }
-            if self.i < self.ins.len() {
-                self.i += 1;
-                return Some(self.ins[self.i - 1]);
-            }
-            return None;
-        }
-    }
-}
-
-/// A dynamic graph: an immutable base CSR, a log of applied edge edits with
-/// per-node sorted deltas, and a materialized current CSR (see the
-/// [module docs](self) for the layout and the bit-for-bit contract).
+/// A dynamic graph: one CSR of the current topology, rebuilt by every
+/// edit batch (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct ChurnGraph {
-    /// The last compacted snapshot — what un-edited rows are read from.
-    base: Graph,
-    /// The merged current topology ([`WalkGraph::topology`] and all
-    /// weight-blind consumers read this).
-    current: Graph,
-    /// Per-node deltas vs `base`; nodes without pending edits are absent.
-    delta: BTreeMap<u32, NodeDelta>,
-    /// Edits applied since the last compaction, in application order.
-    log: Vec<EdgeEdit>,
-    /// Compact automatically once the log reaches this length (`None`:
-    /// only on explicit [`ChurnGraph::compact`] calls).
-    compact_after: Option<usize>,
-    compactions: u64,
+    g: Graph,
 }
 
 impl ChurnGraph {
-    /// A churn graph starting at `base`, compacting only on explicit
-    /// [`ChurnGraph::compact`] calls.
-    pub fn new(base: Graph) -> Self {
-        ChurnGraph {
-            current: base.clone(),
-            base,
-            delta: BTreeMap::new(),
-            log: Vec::new(),
-            compact_after: None,
-            compactions: 0,
-        }
-    }
-
-    /// [`ChurnGraph::new`] with periodic compaction: after any
-    /// [`apply`](Self::apply) that grows the delta log to `edits` entries
-    /// or more, the graph compacts itself.
-    ///
-    /// # Panics
-    /// Panics if `edits` is 0 (the log could never hold anything).
-    pub fn with_compaction_threshold(base: Graph, edits: usize) -> Self {
-        assert!(edits > 0, "compaction threshold must be positive");
-        let mut g = Self::new(base);
-        g.compact_after = Some(edits);
-        g
+    /// A churn graph starting at `g`.
+    pub fn new(g: Graph) -> Self {
+        ChurnGraph { g }
     }
 
     /// Number of nodes (fixed; churn is edge-only).
     pub fn n(&self) -> usize {
-        self.current.n()
+        self.g.n()
     }
 
     /// Number of undirected edges of the current topology.
     pub fn m(&self) -> usize {
-        self.current.m()
+        self.g.m()
     }
 
     /// Adjacency test on the current topology.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.current.has_edge(u, v)
+        self.g.has_edge(u, v)
     }
 
-    /// The base CSR the pending deltas are relative to.
-    pub fn base(&self) -> &Graph {
-        &self.base
-    }
-
-    /// Edits applied since the last compaction.
-    pub fn pending_edits(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The delta log since the last compaction, in application order.
-    pub fn log(&self) -> &[EdgeEdit] {
-        &self.log
-    }
-
-    /// True iff no deltas are pending (base ≡ current).
-    pub fn is_compacted(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Number of compactions performed (explicit and periodic).
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Heap bytes of the two CSRs plus the delta structures.
+    /// Heap bytes of the CSR.
     pub fn memory_bytes(&self) -> usize {
-        let deltas: usize = self
-            .delta
-            .values()
-            .map(|d| (d.ins.len() + d.del.len()) * 4)
-            .sum();
-        self.base.memory_bytes()
-            + self.current.memory_bytes()
-            + deltas
-            + self.log.len() * std::mem::size_of::<EdgeEdit>()
+        self.g.memory_bytes()
     }
 
-    /// Does `{u, v}` exist under `base + delta`?
-    fn lives(base: &Graph, delta: &BTreeMap<u32, NodeDelta>, u: usize, v: usize) -> bool {
-        if let Some(nd) = delta.get(&(u as u32)) {
-            if nd.ins.binary_search(&(v as u32)).is_ok() {
+    /// Does `{u, v}` exist under the current CSR plus this batch's `rows`?
+    fn lives(&self, rows: &BTreeMap<u32, RowEdit>, u: usize, v: usize) -> bool {
+        if let Some(r) = rows.get(&(u as u32)) {
+            if r.ins.binary_search(&(v as u32)).is_ok() {
                 return true;
             }
-            if nd.del.binary_search(&(v as u32)).is_ok() {
+            if r.del.binary_search(&(v as u32)).is_ok() {
                 return false;
             }
         }
-        base.has_edge(u, v)
+        self.g.has_edge(u, v)
     }
 
     /// Apply one batch of edits **atomically**: on any [`ChurnError`] the
     /// graph is left exactly as it was. Within the batch, edits apply in
     /// order (so a batch may delete an edge it inserted). On success the
-    /// current CSR is rebuilt, and — if a compaction threshold is set and
-    /// reached — the graph compacts.
+    /// CSR is rebuilt.
     pub fn apply(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError> {
         if edits.is_empty() {
             return Ok(());
         }
         let n = self.n();
-        // Work on a copy of the delta map so a mid-batch rejection cannot
-        // leave a half-applied state (the map is proportional to pending
-        // churn, not to the graph).
-        let mut delta = self.delta.clone();
-        let mut half_edges = self.current.total_volume();
+        // The batch's row edits, validated against the CSR plus the edits
+        // before them; the CSR is only replaced once all of them pass.
+        let mut rows: BTreeMap<u32, RowEdit> = BTreeMap::new();
+        let mut half_edges = self.g.total_volume();
         for &e in edits {
             let (u, v) = e.endpoints();
             if u >= n || v >= n {
@@ -359,54 +236,48 @@ impl ChurnGraph {
             }
             match e {
                 EdgeEdit::Insert { .. } => {
-                    if Self::lives(&self.base, &delta, u, v) {
+                    if self.lives(&rows, u, v) {
                         return Err(ChurnError::DuplicateInsert { u, v });
                     }
                     check_edge_slots(half_edges + 2, n)?;
                     for (a, b) in [(u, v), (v, u)] {
-                        let nd = delta.entry(a as u32).or_default();
-                        // Re-inserting a deleted base edge cancels the
-                        // deletion; otherwise it is a fresh insert.
-                        if !sorted_remove(&mut nd.del, b as u32) {
-                            sorted_insert(&mut nd.ins, b as u32);
+                        let r = rows.entry(a as u32).or_default();
+                        // Re-inserting a deleted edge cancels the deletion;
+                        // otherwise it is a fresh insert.
+                        if !sorted_remove(&mut r.del, b as u32) {
+                            sorted_insert(&mut r.ins, b as u32);
                         }
                     }
                     half_edges += 2;
                 }
                 EdgeEdit::Delete { .. } => {
-                    if !Self::lives(&self.base, &delta, u, v) {
+                    if !self.lives(&rows, u, v) {
                         return Err(ChurnError::MissingDelete { u, v });
                     }
                     for (a, b) in [(u, v), (v, u)] {
-                        let nd = delta.entry(a as u32).or_default();
+                        let r = rows.entry(a as u32).or_default();
                         // Deleting a same-batch insert cancels it;
-                        // otherwise mark the base edge deleted.
-                        if !sorted_remove(&mut nd.ins, b as u32) {
-                            sorted_insert(&mut nd.del, b as u32);
+                        // otherwise mark the edge deleted.
+                        if !sorted_remove(&mut r.ins, b as u32) {
+                            sorted_insert(&mut r.del, b as u32);
                         }
                     }
                     half_edges -= 2;
                 }
             }
         }
-        delta.retain(|_, nd| !nd.is_empty());
-        self.current = Self::rebuild(&self.base, &delta, half_edges);
-        self.delta = delta;
-        self.log.extend_from_slice(edits);
-        if self.compact_after.is_some_and(|thr| self.log.len() >= thr) {
-            self.compact();
-        }
+        self.g = Self::rebuild(&self.g, &rows, half_edges);
         Ok(())
     }
 
-    /// Merge `base + delta` into a fresh CSR.
+    /// Apply `rows` to `old`, giving a fresh CSR.
     ///
-    /// Walks `delta` in key order: each run of untouched rows between two
-    /// edited ones is one bulk copy of base neighbors plus its offsets
-    /// shifted by the edits so far, and each edited row is one merge.
-    fn rebuild(base: &Graph, delta: &BTreeMap<u32, NodeDelta>, half_edges: usize) -> Graph {
-        let n = base.n();
-        let (base_offsets, base_neighbors) = base.raw_parts();
+    /// Walks `rows` in key order: each run of untouched rows between two
+    /// edited ones is one bulk copy of old neighbors plus its offsets
+    /// shifted by the edits so far, and each edited row is re-sorted.
+    fn rebuild(old: &Graph, rows: &BTreeMap<u32, RowEdit>, half_edges: usize) -> Graph {
+        let n = old.n();
+        let (old_offsets, old_neighbors) = old.raw_parts();
         let mut offsets: Vec<EdgeIndex> = Vec::with_capacity(n + 1);
         let mut neighbors: Vec<u32> = Vec::with_capacity(half_edges);
         offsets.push(0);
@@ -415,28 +286,28 @@ impl ChurnGraph {
         // wrapping shift is exact because every result fits in u32.
         let copy_rows =
             |lo: usize, hi: usize, offsets: &mut Vec<EdgeIndex>, neighbors: &mut Vec<u32>| {
-                let shift = (neighbors.len() as EdgeIndex).wrapping_sub(base_offsets[lo]);
+                let shift = (neighbors.len() as EdgeIndex).wrapping_sub(old_offsets[lo]);
                 offsets.extend(
-                    base_offsets[lo + 1..=hi]
+                    old_offsets[lo + 1..=hi]
                         .iter()
                         .map(|&o| o.wrapping_add(shift)),
                 );
                 neighbors.extend_from_slice(
-                    &base_neighbors[base_offsets[lo] as usize..base_offsets[hi] as usize],
+                    &old_neighbors[old_offsets[lo] as usize..old_offsets[hi] as usize],
                 );
             };
         let mut next = 0;
-        for (&u, nd) in delta {
+        for (&u, r) in rows {
             let u = u as usize;
             copy_rows(next, u, &mut offsets, &mut neighbors);
-            neighbors.extend(MergedRow {
-                base: base.neighbors_raw(u),
-                ins: &nd.ins,
-                del: &nd.del,
-                b: 0,
-                i: 0,
-                d: 0,
-            });
+            let start = neighbors.len();
+            neighbors.extend(
+                old.neighbors_raw(u)
+                    .iter()
+                    .filter(|w| r.del.binary_search(w).is_err()),
+            );
+            neighbors.extend_from_slice(&r.ins);
+            neighbors[start..].sort_unstable();
             offsets.push(neighbors.len() as EdgeIndex);
             next = u + 1;
         }
@@ -444,131 +315,95 @@ impl ChurnGraph {
         debug_assert_eq!(neighbors.len(), half_edges);
         Graph::from_raw(offsets, neighbors)
     }
+}
 
-    /// Promote the current topology to the new base and clear the delta
-    /// log. Results are unchanged to the bit (the current CSR *is* the
-    /// merged topology); only the storage shape changes.
-    pub fn compact(&mut self) {
-        if self.is_compacted() {
-            return;
+/// A seeded stream of degree-preserving 2-swaps: each draw deletes `(a,b)`
+/// and `(c,d)` and inserts `(a,c)` and `(b,d)`, so every degree is kept
+/// (regular graphs stay regular and τ answers stay non-trivial).
+///
+/// A xorshift64* stream picks both edges uniformly from the topology it is
+/// given — same seed, same topologies, same draws, always.
+#[derive(Clone, Debug)]
+pub struct SwapDrawer {
+    state: u64,
+}
+
+impl SwapDrawer {
+    /// A drawer seeded with `seed` (the state is `seed | 1`: xorshift
+    /// must not start at 0).
+    pub fn new(seed: u64) -> Self {
+        SwapDrawer { state: seed | 1 }
+    }
+
+    fn next(&mut self) -> u64 {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Draw one valid 2-swap on `g`, or `None` if 64 tries find none
+    /// (tiny dense graphs).
+    ///
+    /// # Panics
+    /// Panics if `g` has no edges.
+    pub fn draw(&mut self, g: &Graph) -> Option<[EdgeEdit; 4]> {
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        for _ in 0..64 {
+            let (a, b) = edges[(self.next() % edges.len() as u64) as usize];
+            let (c, d) = edges[(self.next() % edges.len() as u64) as usize];
+            if a != c && a != d && b != c && b != d && !g.has_edge(a, c) && !g.has_edge(b, d) {
+                return Some([
+                    EdgeEdit::delete(a, b),
+                    EdgeEdit::delete(c, d),
+                    EdgeEdit::insert(a, c),
+                    EdgeEdit::insert(b, d),
+                ]);
+            }
         }
-        self.base = self.current.clone();
-        self.delta.clear();
-        self.log.clear();
-        self.compactions += 1;
-    }
-
-    /// The pending delta of `v`'s row, if any.
-    fn row_delta(&self, v: usize) -> Option<&NodeDelta> {
-        self.delta.get(&(v as u32))
-    }
-}
-
-/// Graphs that accept in-place edge churn — the seam
-/// `lmt-service`'s `TauService::apply_churn` mutates its graph through.
-pub trait Churnable {
-    /// Apply one batch of edits atomically; `Err` leaves the graph
-    /// unchanged. See [`ChurnGraph::apply`].
-    fn apply_edits(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError>;
-}
-
-impl Churnable for ChurnGraph {
-    fn apply_edits(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError> {
-        self.apply(edits)
+        None
     }
 }
 
 impl WalkGraph for ChurnGraph {
     #[inline]
     fn topology(&self) -> &Graph {
-        &self.current
+        &self.g
     }
 
     #[inline]
     fn walk_degree(&self, u: usize) -> f64 {
-        self.current.degree(u) as f64
+        self.g.walk_degree(u)
     }
 
     #[inline]
     fn total_walk_weight(&self) -> f64 {
-        self.current.total_volume() as f64
+        self.g.total_walk_weight()
     }
 
     #[inline]
-    fn loop_weight(&self, _u: usize) -> f64 {
-        0.0
+    fn loop_weight(&self, u: usize) -> f64 {
+        self.g.loop_weight(u)
     }
 
     #[inline]
     fn pull(&self, v: usize, p: &[f64]) -> f64 {
-        // Un-edited rows read the current CSR (identical bits: the row *is*
-        // the base row and the kernel is the static one); edited rows
-        // traverse the delta merge — same ascending order, same
-        // per-neighbor add with the current degree.
-        match self.row_delta(v) {
-            None => self.current.pull(v, p),
-            Some(nd) => {
-                let mut acc = 0.0f64;
-                let row = MergedRow {
-                    base: self.base.neighbors_raw(v),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                };
-                for u in row {
-                    let u = u as usize;
-                    let d = self.current.degree(u);
-                    debug_assert!(d > 0);
-                    acc += p[u] / d as f64;
-                }
-                acc
-            }
-        }
+        self.g.pull(v, p)
     }
 
     #[inline]
     fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]) {
-        // Un-edited rows dispatch to the current CSR's kernels (explicit
-        // lanes for widths 1/2/4/8); edited rows take the dynamic
-        // delta-merge loop — per lane the same adds in the same
-        // ascending-neighbor order, so every lane stays bit-identical to a
-        // solo `pull` (the `WalkGraph::pull_block` contract).
-        match self.row_delta(v) {
-            None => self.current.pull_block(v, p, width, out),
-            Some(nd) => {
-                out.fill(0.0);
-                let row = MergedRow {
-                    base: self.base.neighbors_raw(v),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                };
-                for u in row {
-                    let u = u as usize;
-                    let d = self.current.degree(u);
-                    debug_assert!(d > 0);
-                    let d = d as f64;
-                    let prow = &p[u * width..u * width + width];
-                    for (o, &pu) in out.iter_mut().zip(prow) {
-                        *o += pu / d;
-                    }
-                }
-            }
-        }
+        self.g.pull_block(v, p, width, out)
     }
 
     #[inline]
     fn flat_stationary(&self) -> Option<f64> {
-        self.current.flat_stationary()
+        self.g.flat_stationary()
     }
 
     #[inline]
     fn sample_step(&self, at: usize, rng: &mut SmallRng) -> usize {
-        self.current.sample_step(at, rng)
+        self.g.sample_step(at, rng)
     }
 }
 
@@ -589,14 +424,13 @@ mod tests {
         for v in 0..g.n() {
             assert_eq!(cg.pull(v, &p).to_bits(), g.pull(v, &p).to_bits(), "node {v}");
         }
-        assert!(cg.is_compacted());
         assert_eq!(cg.topology(), &g);
     }
 
     #[test]
     fn edited_rows_match_rebuilt_static_graph_bitwise() {
-        // After edits, pull/pull_block (delta-merge path on edited rows)
-        // must match a from-scratch static graph of the same topology.
+        // After edits, pull/pull_block must match a from-scratch static
+        // graph of the same topology.
         let g = gen::grid(4, 5);
         let mut cg = ChurnGraph::new(g.clone());
         cg.apply(&[
@@ -605,8 +439,6 @@ mod tests {
             EdgeEdit::insert(2, 13),
         ])
         .unwrap();
-        assert!(!cg.is_compacted());
-        assert_eq!(cg.pending_edits(), 3);
         let mut b = crate::GraphBuilder::new(g.n());
         b.extend_edges(cg.topology().edges());
         let fresh = b.build();
@@ -639,42 +471,13 @@ mod tests {
     fn insert_delete_roundtrip_cancels_in_the_delta() {
         let g = gen::cycle(8);
         let mut cg = ChurnGraph::new(g.clone());
+        // A flap of an existing edge within one batch: the deletion is
+        // cancelled and the topology is unchanged.
         cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 1)]).unwrap();
-        // Topology is back to base; the log still records the flap.
         assert_eq!(cg.topology(), &g);
-        assert_eq!(cg.pending_edits(), 2);
-        assert!(cg.delta.is_empty(), "cancelling edits leave no row deltas");
-        // Same within one batch for a fresh edge.
+        // Same for a fresh edge.
         cg.apply(&[EdgeEdit::insert(0, 4), EdgeEdit::delete(0, 4)]).unwrap();
         assert_eq!(cg.topology(), &g);
-    }
-
-    #[test]
-    fn compact_promotes_current_and_clears_log() {
-        let g = gen::complete(6);
-        let mut cg = ChurnGraph::new(g.clone());
-        cg.apply(&[EdgeEdit::delete(0, 1)]).unwrap();
-        let before = cg.topology().clone();
-        cg.compact();
-        assert!(cg.is_compacted());
-        assert_eq!(cg.compactions(), 1);
-        assert_eq!(cg.base(), &before);
-        assert_eq!(cg.topology(), &before);
-        // Compacting a compacted graph is a no-op.
-        cg.compact();
-        assert_eq!(cg.compactions(), 1);
-    }
-
-    #[test]
-    fn periodic_compaction_fires_at_threshold() {
-        let g = gen::complete(6);
-        let mut cg = ChurnGraph::with_compaction_threshold(g, 2);
-        cg.apply(&[EdgeEdit::delete(0, 1)]).unwrap();
-        assert!(!cg.is_compacted());
-        cg.apply(&[EdgeEdit::delete(2, 3)]).unwrap();
-        assert!(cg.is_compacted(), "threshold reached → auto-compacted");
-        assert_eq!(cg.compactions(), 1);
-        assert_eq!(cg.m(), 13);
     }
 
     #[test]
@@ -694,7 +497,6 @@ mod tests {
             let err = cg.apply(&batch).unwrap_err();
             assert!(err.to_string().contains(needle), "{batch:?} → {err}");
             assert_eq!(cg.topology(), &g, "{batch:?} must leave the graph unchanged");
-            assert!(cg.is_compacted());
         }
     }
 
@@ -719,7 +521,7 @@ mod tests {
         let mut rng = lmt_util::rng::fork(3, 1);
         let step = cg.sample_step(0, &mut rng);
         assert!(step == 1 || step == 3);
-        assert!(cg.memory_bytes() > cg.base().memory_bytes());
+        assert_eq!(cg.memory_bytes(), cg.topology().memory_bytes());
     }
 
     #[test]
@@ -727,7 +529,7 @@ mod tests {
         // The live edge set is tracked independently (base − deletes +
         // inserts) and rebuilt with the builder after every batch. Batches
         // edit node 0, node n − 1, adjacent rows, and re-toggle earlier
-        // edits, without compaction in between.
+        // edits.
         use rand::Rng;
         use std::collections::BTreeSet;
         let base = gen::random_regular(64, 4, 3);
@@ -768,16 +570,44 @@ mod tests {
             b.extend_edges(live.iter().copied());
             assert_eq!(cg.topology(), &b.build(), "after {edits:?}");
         }
-        assert!(!cg.is_compacted());
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let g = gen::complete(4);
-        let mut cg = ChurnGraph::with_compaction_threshold(g.clone(), 1);
+        let mut cg = ChurnGraph::new(g.clone());
         cg.apply(&[]).unwrap();
-        assert!(cg.is_compacted());
-        assert_eq!(cg.compactions(), 0);
         assert_eq!(cg.topology(), &g);
+    }
+
+    #[test]
+    fn isolated_node_pull_matches_pull_block_to_the_bit() {
+        // An empty row sums nothing: `pull` and every `pull_block` lane
+        // must both give +0.0, not −0.0, on all three substrates.
+        let g = gen::path(4);
+        let mut cg = ChurnGraph::new(g.clone());
+        cg.apply(&[EdgeEdit::delete(0, 1)]).unwrap(); // node 0 isolated
+        let isolated = cg.topology().clone();
+        let weighted = crate::WeightedGraph::unit(isolated.clone());
+        let graphs: [&dyn WalkGraph; 3] = [&isolated, &weighted, &cg];
+        for (k, wg) in graphs.into_iter().enumerate() {
+            for width in [1usize, 2, 3, 4, 8] {
+                let p: Vec<f64> = (0..4 * width).map(|i| (i + 1) as f64 / 64.0).collect();
+                let mut out = vec![f64::NAN; width];
+                wg.pull_block(0, &p, width, &mut out);
+                for (j, o) in out.iter().enumerate() {
+                    let col: Vec<f64> = (0..4).map(|v| p[v * width + j]).collect();
+                    let at = format!("graph {k} w={width} lane {j}");
+                    assert_eq!(o.to_bits(), wg.pull(0, &col).to_bits(), "{at}");
+                    assert_eq!(o.to_bits(), 0.0f64.to_bits(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_drawer_gives_up_without_a_valid_swap() {
+        // Any two triangle edges share an endpoint: 64 tries, then `None`.
+        assert_eq!(SwapDrawer::new(1).draw(&gen::complete(3)), None);
     }
 }

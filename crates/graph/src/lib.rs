@@ -21,11 +21,12 @@
 //!   walk machinery (`lmt-walks`) and the distributed algorithms
 //!   (`lmt-core`) accept either substrate; the unweighted implementation
 //!   keeps the historical arithmetic bit-for-bit.
-//! * [`churn::ChurnGraph`] — the dynamic-network substrate: base CSR +
-//!   edge insert/delete delta log with periodic compaction, implementing
-//!   [`WalkGraph`] bit-identically to the static path (zero churn ≡
-//!   [`Graph`], compacted ≡ uncompacted) so the whole walk stack runs
-//!   unmodified over churning topology.
+//! * [`churn::ChurnGraph`] — the dynamic-network substrate: one CSR,
+//!   rebuilt by every atomic batch of edge inserts/deletes, implementing
+//!   [`WalkGraph`] by delegating to that CSR (so the whole walk stack runs
+//!   unmodified over churning topology, bit-identically to the static
+//!   [`Graph`] of the same shape), plus [`churn::SwapDrawer`], the seeded
+//!   degree-preserving edit stream.
 //! * [`builder::GraphBuilder`] / [`weighted::WeightedGraphBuilder`] —
 //!   edge-list construction with de-duplication and self-loop rejection
 //!   (weighted duplicates merge by weight addition).
@@ -59,7 +60,7 @@ pub mod walk;
 pub mod weighted;
 
 pub use builder::{GraphBuilder, GraphError};
-pub use churn::{Churnable, ChurnError, ChurnGraph, EdgeEdit};
+pub use churn::{ChurnError, ChurnGraph, EdgeEdit, SwapDrawer};
 pub use csr::Graph;
 pub use walk::WalkGraph;
 pub use weighted::{WeightedGraph, WeightedGraphBuilder};

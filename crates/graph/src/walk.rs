@@ -171,15 +171,14 @@ impl WalkGraph for Graph {
 
     #[inline]
     fn pull(&self, v: usize, p: &[f64]) -> f64 {
-        // The pre-trait pull kernel, verbatim: every neighbor u of v has
-        // degree ≥ 1 (v is its neighbor), so the division is safe.
-        self.neighbors(v)
-            .map(|u| {
-                let d = self.degree(u);
-                debug_assert!(d > 0);
-                p[u] / d as f64
-            })
-            .sum()
+        // Every neighbor u of v has degree ≥ 1 (v is its neighbor), so the
+        // division is safe. The fold starts at +0.0 like each `pull_block`
+        // lane (`Iterator::sum` would give −0.0 on an isolated node).
+        self.neighbors(v).fold(0.0, |acc, u| {
+            let d = self.degree(u);
+            debug_assert!(d > 0);
+            acc + p[u] / d as f64
+        })
     }
 
     #[inline]

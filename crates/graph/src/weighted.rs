@@ -255,11 +255,10 @@ impl crate::walk::WalkGraph for WeightedGraph {
         // Multiply-then-divide: with unit weights `p[u] * 1.0` is exact and
         // `wdeg[u]` is the exact integer degree, so this reproduces the
         // unweighted kernel `p[u] / d` bit-for-bit (summed in the same
-        // neighbor-ascending order).
-        let mut inflow: f64 = self
+        // neighbor-ascending order, from +0.0 like each `pull_block` lane).
+        let mut inflow = self
             .neighbor_weights(v)
-            .map(|(u, w)| p[u] * w / self.wdeg[u])
-            .sum();
+            .fold(0.0, |acc, (u, w)| acc + p[u] * w / self.wdeg[u]);
         let lw = self.loops[v];
         if lw > 0.0 {
             inflow += p[v] * lw / self.wdeg[v];

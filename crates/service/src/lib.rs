@@ -33,9 +33,8 @@
 //! The cache is keyed by `(source, graph_version)`:
 //! [`TauService::replace_graph`] bumps the version and invalidates every
 //! curve. For **dynamic graphs** there is a finer path:
-//! [`TauService::apply_churn`] (available when the graph is
-//! [`Churnable`], e.g. [`lmt_graph::ChurnGraph`]) applies an edge-edit
-//! batch in place and performs **support-aware incremental invalidation**
+//! [`TauService::apply_churn`] (available when the graph is a
+//! [`ChurnGraph`]) applies an edge-edit batch in place and performs **support-aware incremental invalidation**
 //! — every cached [`SourceCurve`] carries its exact cumulative support
 //! (`∪_t supp(p_t)`), and a curve is *retained* iff no edited endpoint
 //! lies in that support. Retention is sound to the bit: such a curve's
@@ -87,7 +86,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, PoisonError, RwLock};
 
-use lmt_graph::{Churnable, ChurnError, EdgeEdit, WalkGraph};
+use lmt_graph::{ChurnError, ChurnGraph, EdgeEdit, WalkGraph};
 use lmt_walks::engine::BlockEvolution;
 use lmt_walks::local::{
     size_grid, FlatPolicy, LocalMixError, LocalMixOptions, LocalMixResult, SizeGrid,
@@ -531,11 +530,11 @@ impl<G: WalkGraph> TauService<G> {
     }
 }
 
-impl<G: WalkGraph + Churnable> TauService<G> {
+impl TauService<ChurnGraph> {
     /// Apply one batch of edge edits to the live graph, with
     /// **support-aware incremental invalidation** of the curve cache.
     ///
-    /// The batch is atomic ([`Churnable::apply_edits`]): on a
+    /// The batch is atomic ([`ChurnGraph::apply`]): on a
     /// [`ChurnError`], graph, cache, and version are all untouched. On
     /// success the graph version bumps once, and each cached
     /// [`SourceCurve`] is **retained iff no edited endpoint lies in its
@@ -556,7 +555,7 @@ impl<G: WalkGraph + Churnable> TauService<G> {
     pub fn apply_churn(&self, edits: &[EdgeEdit]) -> Result<ChurnOutcome, ChurnError> {
         let mut vg = self.write_graph();
         let mut state = self.lock_state();
-        vg.g.apply_edits(edits)?;
+        vg.g.apply(edits)?;
         vg.version += 1;
         let before = state.cache.len();
         state.cache.retain(|_, curve| {

@@ -34,7 +34,7 @@ pub mod prelude {
     pub use lmt_gossip::coverage::{coverage_stats, is_beta_spread, rounds_to_beta_spread};
     pub use lmt_gossip::{Gossip, GossipMode};
     pub use lmt_graph::{
-        cuts, gen, props, Churnable, ChurnError, ChurnGraph, EdgeEdit, Graph, GraphBuilder,
+        cuts, gen, props, ChurnError, ChurnGraph, EdgeEdit, Graph, GraphBuilder, SwapDrawer,
         WalkGraph, WeightedGraph, WeightedGraphBuilder,
     };
     pub use lmt_service::{

@@ -840,58 +840,21 @@ proptest! {
 /// The churn layer (PR 10): a `ChurnGraph` must be indistinguishable — to
 /// the bit — from the static substrate it denotes. Two contracts:
 /// zero churn ≡ static [`Graph`] (τ answers, flood fixed-point weights and
-/// metrics, blocked-engine trajectories), and compacted ≡ uncompacted after
-/// random valid edit batches — each at pool widths 1/2/8 and engine block
-/// widths 1/2/8.
+/// metrics, blocked-engine trajectories), and, after random valid edit
+/// batches, churned ≡ a static rebuild of the post-edit topology — each at
+/// pool widths 1/2/8 and engine block widths 1/2/8.
 mod churn_layer {
     use super::*;
     use lmt_congest::flood::FloodGraph;
     use lmt_walks::engine::evolve_block;
 
-    /// xorshift64*: a tiny deterministic stream for edit schedules, so the
-    /// test needs no RNG dependency and every failure replays exactly.
-    pub struct Xs(pub u64);
-
-    impl Xs {
-        pub fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        pub fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
-    /// Draw one degree-preserving 2-swap on the current topology: delete
-    /// `(a,b)` and `(c,d)`, insert `(a,c)` and `(b,d)`. Keeps every degree
-    /// (so regular graphs stay regular and τ answers stay non-trivial).
-    pub fn draw_swap(g: &Graph, rng: &mut Xs) -> Option<[EdgeEdit; 4]> {
-        let edges: Vec<(usize, usize)> = g.edges().collect();
-        for _ in 0..64 {
-            let (a, b) = edges[rng.below(edges.len())];
-            let (c, d) = edges[rng.below(edges.len())];
-            if a != c && a != d && b != c && b != d && !g.has_edge(a, c) && !g.has_edge(b, d) {
-                return Some([
-                    EdgeEdit::delete(a, b),
-                    EdgeEdit::delete(c, d),
-                    EdgeEdit::insert(a, c),
-                    EdgeEdit::insert(b, d),
-                ]);
-            }
-        }
-        None
-    }
-
-    /// Apply `batches` seeded swap batches; the delta log stays pending
-    /// (no compaction), so the merged-row kernel path is exercised.
+    /// Apply `batches` degree-preserving 2-swap batches drawn by a
+    /// [`SwapDrawer`] seeded with `seed`, so every failure replays exactly.
     pub fn churned(g0: &Graph, batches: usize, seed: u64) -> ChurnGraph {
         let mut cg = ChurnGraph::new(g0.clone());
-        let mut rng = Xs(seed | 1);
+        let mut swaps = SwapDrawer::new(seed);
         for _ in 0..batches {
-            if let Some(edits) = draw_swap(cg.topology(), &mut rng) {
+            if let Some(edits) = swaps.draw(cg.topology()) {
                 cg.apply(&edits).expect("swap batch valid by construction");
             }
         }
@@ -944,7 +907,7 @@ proptest! {
         let results = at_widths(|| {
             let s = churn_layer::full_digest(&g, &queries, 12, seed);
             let c = churn_layer::full_digest(&ChurnGraph::new(g.clone()), &queries, 12, seed);
-            assert_eq!(s, c, "zero-churn overlay diverged from the static graph");
+            assert_eq!(s, c, "zero-churn ChurnGraph diverged from the static graph");
             s
         });
         for pair in results.windows(2) {
@@ -957,28 +920,26 @@ proptest! {
         }
     }
 
-    /// After random degree-preserving edit batches, the uncompacted overlay
-    /// (merged-row kernels), a compacted copy (pure CSR kernels), and a
-    /// fresh static rebuild of the merged topology are bitwise identical.
+    /// After random degree-preserving edit batches, the churned graph and
+    /// a fresh builder rebuild of its post-edit topology are bitwise
+    /// identical.
     #[test]
-    fn churn_compacted_equals_uncompacted((n, d, seed) in regular_spec()) {
+    fn churn_equals_static_rebuild((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);
         prop_assume!(props::is_connected(&g));
         let cg = churn_layer::churned(&g, 3, seed ^ 0xC0FF_EE00);
-        prop_assume!(cg.pending_edits() > 0);
-        let mut compacted = cg.clone();
-        compacted.compact();
-        prop_assert!(!cg.is_compacted() && compacted.is_compacted());
-        let rebuilt = cg.topology().clone();
+        prop_assume!(cg.topology() != &g);
+        let mut b = GraphBuilder::new(n);
+        b.extend_edges(cg.topology().edges());
+        let rebuilt = b.build();
+        prop_assert!(&rebuilt == cg.topology());
         let queries: Vec<TauQuery> = (0..3usize)
             .map(|j| TauQuery { source: (j * n) / 3, beta: 2.0, eps: 0.1 })
             .collect();
         let results = at_widths(|| {
             let a = churn_layer::full_digest(&cg, &queries, 12, seed);
-            let b = churn_layer::full_digest(&compacted, &queries, 12, seed);
             let c = churn_layer::full_digest(&rebuilt, &queries, 12, seed);
-            assert_eq!(a, b, "compacted overlay diverged from uncompacted");
-            assert_eq!(a, c, "overlay diverged from a static rebuild");
+            assert_eq!(a, c, "churned graph diverged from a static rebuild");
             a
         });
         for pair in results.windows(2) {

@@ -288,42 +288,6 @@ fn capped_queries_match_oracle_and_stay_cached() {
 // mirror `ChurnGraph` replays the same edits to produce that topology.
 // ---------------------------------------------------------------------------
 
-/// xorshift64* — deterministic edit schedules with replayable failures.
-struct Xs(u64);
-
-impl Xs {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// One random degree-preserving 2-swap on `g` (delete `(a,b)`, `(c,d)`;
-/// insert `(a,c)`, `(b,d)`), so regular graphs stay regular and the service
-/// keeps answering rather than returning `NotRegular`.
-fn draw_swap(g: &Graph, rng: &mut Xs) -> Option<[EdgeEdit; 4]> {
-    let edges: Vec<(usize, usize)> = g.edges().collect();
-    for _ in 0..64 {
-        let (a, b) = edges[rng.below(edges.len())];
-        let (c, d) = edges[rng.below(edges.len())];
-        if a != c && a != d && b != c && b != d && !g.has_edge(a, c) && !g.has_edge(b, d) {
-            return Some([
-                EdgeEdit::delete(a, b),
-                EdgeEdit::delete(c, d),
-                EdgeEdit::insert(a, c),
-                EdgeEdit::insert(b, d),
-            ]);
-        }
-    }
-    None
-}
-
 /// BFS hop distances from `src` (usize::MAX for unreachable).
 fn bfs_dist(g: &Graph, src: usize) -> Vec<usize> {
     let mut dist = vec![usize::MAX; g.n()];
@@ -367,12 +331,14 @@ proptest! {
         let _ = service.submit_batch(&queries);
         let sources_cached = service.cached_sources();
 
-        // Seeded swap batches, mirrored locally so the test can build the
+        // Seeded degree-preserving swap batches (regular graphs stay
+        // regular, so the service keeps answering rather than returning
+        // `NotRegular`), mirrored locally so the test can build the
         // post-churn reference topology without peeking at service state.
         let mut mirror = ChurnGraph::new(g.clone());
-        let mut rng = Xs(churn_seed | 1);
+        let mut swaps = SwapDrawer::new(churn_seed);
         for _ in 0..2 {
-            if let Some(edits) = draw_swap(mirror.topology(), &mut rng) {
+            if let Some(edits) = swaps.draw(mirror.topology()) {
                 let outcome = service.apply_churn(&edits).unwrap();
                 mirror.apply(&edits).unwrap();
                 prop_assert!(outcome.retained + outcome.dropped <= sources_cached);
