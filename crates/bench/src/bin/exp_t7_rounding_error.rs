@@ -7,15 +7,15 @@
 
 use lmt_graph::gen;
 use lmt_util::table::Table;
+use lmt_walks::engine::evolve_block;
 use lmt_walks::fixed_flood::{FixedWalk, Rounding};
-use lmt_walks::step::{evolve, WalkKind};
-use lmt_walks::Dist;
+use lmt_walks::step::WalkKind;
 
 fn max_err(g: &lmt_graph::Graph, src: usize, t: usize, c: u32, rounding: Rounding) -> f64 {
-    let mut fw = FixedWalk::new(g, src, c, rounding);
+    let mut fw = FixedWalk::new(g, src, c, rounding, WalkKind::Simple);
     fw.run(g, t);
     let est = fw.to_dist();
-    let exact = evolve(g, &Dist::point(g.n(), src), WalkKind::Simple, t);
+    let exact = evolve_block(g, &[src], WalkKind::Simple, t).remove(0);
     (0..g.n())
         .map(|v| (est.get(v) - exact.get(v)).abs())
         .fold(0.0, f64::max)

@@ -88,7 +88,9 @@
 //! * [`flood`] — the distributed form of **Algorithm 1**
 //!   (ESTIMATE-RW-PROBABILITY): per-round probability flooding in fixed
 //!   point, bit-identical to the centralized reference in
-//!   `lmt-walks::fixed_flood`.
+//!   `lmt-walks::fixed_flood`. One entry point,
+//!   [`flood::FloodGraph::estimate_flood`], on plain, weighted and churning
+//!   graphs, plus the round-at-a-time [`flood::IncrementalFlood`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -121,8 +121,8 @@ proptest! {
     }
 
     /// A trivial (zero-drop, no-crash) fault plan is invisible: the faulty
-    /// entry points produce bit-identical trees/estimates AND metrics to the
-    /// fault-free ones, for both primitives that grew a faulty variant.
+    /// BFS entry point produces bit-identical trees AND metrics to the
+    /// fault-free one.
     #[test]
     fn trivial_fault_plan_is_invisible(g in connected_graph(), seed in any::<u64>(), fault_seed in any::<u64>()) {
         let n = g.n();
@@ -132,22 +132,11 @@ proptest! {
         let (tree_a, m_a) =
             build_bfs_tree(&g, 0, u32::MAX, budget, EngineKind::Sequential, seed).unwrap();
         let (tree_b, m_b) = lmt_congest::bfs::build_bfs_tree_faulty(
-            &g, 0, u32::MAX, budget, EngineKind::Sequential, seed, Some(plan.clone()),
+            &g, 0, u32::MAX, budget, EngineKind::Sequential, seed, Some(plan),
         ).unwrap();
         prop_assert_eq!(&tree_a.dist, &tree_b.dist);
         prop_assert_eq!(&tree_a.parent, &tree_b.parent);
         prop_assert_eq!(m_a, m_b);
-
-        let flood_budget = olog_budget(n, 64);
-        let (p_a, _, fm_a) = lmt_congest::flood::estimate_rw_probability(
-            &g, 0, 4, 6, flood_budget, EngineKind::Sequential, seed,
-        ).unwrap();
-        let (p_b, _, fm_b) = lmt_congest::flood::estimate_rw_probability_faulty(
-            &g, 0, 4, 6, lmt_walks::WalkKind::Simple, flood_budget,
-            EngineKind::Sequential, seed, Some(plan),
-        ).unwrap();
-        prop_assert_eq!(p_a, p_b);
-        prop_assert_eq!(fm_a, fm_b);
     }
 
     /// A node crashed before round 0 (and distinct from the source) never

@@ -21,7 +21,7 @@
 use crate::approx::AlgoError;
 use crate::config::AlgoConfig;
 use lmt_congest::bfs::build_bfs_tree;
-use lmt_congest::flood::estimate_rw_probability_kind;
+use lmt_congest::flood::FloodGraph;
 use lmt_congest::message::id_bits;
 use lmt_congest::tree::{convergecast, Op, Wide};
 use lmt_congest::Metrics;
@@ -50,8 +50,7 @@ fn distance_at(
     budget: u32,
     metrics: &mut Metrics,
 ) -> Result<FixedQ, AlgoError> {
-    let (weights, scale, m_flood) = estimate_rw_probability_kind(
-        g,
+    let (weights, scale, m_flood) = g.estimate_flood(
         src,
         ell,
         cfg.c,

@@ -44,7 +44,7 @@ pub fn local_mixing_time_exact_distributed(
     let mut metrics = Metrics::default();
     let mut iterations = Vec::new();
 
-    let mut flood = IncrementalFlood::with_kind(
+    let mut flood = IncrementalFlood::new(
         g,
         src,
         cfg.c,

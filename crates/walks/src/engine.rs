@@ -25,6 +25,12 @@
 //! node-major interleaved (`data[v·B + j]`), so the per-neighbor inner loop
 //! reads `B` contiguous lanes.
 //!
+//! [`BlockEvolution`] is the crate's only multi-step walk engine. A single
+//! walk is a one-lane block, whose lane is stored contiguously and read in
+//! place through [`BlockEvolution::solo_lane`]; [`evolve_block`] is the
+//! one-shot form. [`crate::step::step`] is the dense reference the engine
+//! is checked against.
+//!
 //! # The bit-for-bit sparsity invariant
 //!
 //! The sparse path is **bit-for-bit identical** to the dense path, not
@@ -169,16 +175,54 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
     /// dense after the first candidate scan). Results are identical for any
     /// value — only the cost profile changes.
     pub fn with_crossover(g: &'g G, sources: &[usize], kind: WalkKind, crossover: f64) -> Self {
-        assert!(!sources.is_empty(), "block evolution needs ≥ 1 source");
+        Self::start(g, kind, sources.len(), crossover, |cur, support| {
+            for (j, &s) in sources.iter().enumerate() {
+                crate::step::assert_source(g, s, "evolve_block");
+                cur[s * sources.len() + j] = 1.0;
+                support.insert(s);
+            }
+        })
+    }
+
+    /// Start one column per entry of `cols` from **arbitrary**
+    /// distributions, used by the τ-service to resume cached walks
+    /// mid-flight in one coalesced block. The union support is rebuilt
+    /// exactly from the nonzero entries, so lane `j` continues bit-for-bit
+    /// as a solo run whose current distribution is `cols[j]` (lanes are
+    /// arithmetically independent; see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `cols` is empty, any column's length differs from `n`, or
+    /// any column places mass on an isolated node.
+    pub fn from_dists(g: &'g G, cols: &[&[f64]], kind: WalkKind) -> Self {
+        Self::start(g, kind, cols.len(), DENSE_CROSSOVER, |cur, support| {
+            for (j, col) in cols.iter().enumerate() {
+                assert_eq!(col.len(), g.n(), "evolution: distribution/graph size mismatch");
+                assert_walkable(g, col, "evolution");
+                for (v, &pv) in col.iter().enumerate() {
+                    if pv != 0.0 {
+                        cur[v * cols.len() + j] = pv;
+                        support.insert(v);
+                    }
+                }
+            }
+        })
+    }
+
+    /// The one constructor: `width` zeroed lanes that `fill` loads with the
+    /// starting distributions and their exact union support.
+    fn start(
+        g: &'g G,
+        kind: WalkKind,
+        width: usize,
+        crossover: f64,
+        fill: impl FnOnce(&mut [f64], &mut BitSet),
+    ) -> Self {
+        assert!(width > 0, "block evolution needs ≥ 1 source");
         let n = g.n();
-        let width = sources.len();
         let mut cur = vec![0.0; n * width];
         let mut cur_support = BitSet::new(n);
-        for (j, &s) in sources.iter().enumerate() {
-            crate::step::assert_source(g, s, "evolve_block");
-            cur[s * width + j] = 1.0;
-            cur_support.insert(s);
-        }
+        fill(&mut cur, &mut cur_support);
         BlockEvolution {
             g,
             kind,
@@ -191,81 +235,6 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
             candidates: BitSet::new(n),
             dense: false,
             crossover,
-            tile_rows: None,
-            steps: 0,
-        }
-    }
-
-    /// Start a single column (`width == 1`) from an arbitrary distribution.
-    ///
-    /// # Panics
-    /// Panics on a size mismatch or if `p0` places mass on an isolated node.
-    pub fn from_dist(g: &'g G, p0: Dist, kind: WalkKind) -> Self {
-        let n = g.n();
-        assert_eq!(p0.n(), n, "evolution: distribution/graph size mismatch");
-        assert_walkable(g, p0.as_slice(), "evolution");
-        let mut cur_support = BitSet::new(n);
-        for (v, &pv) in p0.as_slice().iter().enumerate() {
-            if pv != 0.0 {
-                cur_support.insert(v);
-            }
-        }
-        BlockEvolution {
-            g,
-            kind,
-            n,
-            width: 1,
-            cur: p0.into_vec(),
-            nxt: vec![0.0; n],
-            cur_support,
-            nxt_support: BitSet::new(n),
-            candidates: BitSet::new(n),
-            dense: false,
-            crossover: DENSE_CROSSOVER,
-            tile_rows: None,
-            steps: 0,
-        }
-    }
-
-    /// Start one column per entry of `cols` from **arbitrary**
-    /// distributions — the multi-column generalization of
-    /// [`BlockEvolution::from_dist`], used by the τ-service to resume
-    /// cached walks mid-flight in one coalesced block. The union support is
-    /// rebuilt exactly from the nonzero entries, so lane `j` continues
-    /// bit-for-bit as a solo run whose current distribution is `cols[j]`
-    /// (lanes are arithmetically independent; see the module docs).
-    ///
-    /// # Panics
-    /// Panics if `cols` is empty, any column's length differs from `n`, or
-    /// any column places mass on an isolated node.
-    pub fn from_dists(g: &'g G, cols: &[&[f64]], kind: WalkKind) -> Self {
-        assert!(!cols.is_empty(), "block evolution needs ≥ 1 source");
-        let n = g.n();
-        let width = cols.len();
-        let mut cur = vec![0.0; n * width];
-        let mut cur_support = BitSet::new(n);
-        for (j, col) in cols.iter().enumerate() {
-            assert_eq!(col.len(), n, "evolution: distribution/graph size mismatch");
-            assert_walkable(g, col, "evolution");
-            for (v, &pv) in col.iter().enumerate() {
-                if pv != 0.0 {
-                    cur[v * width + j] = pv;
-                    cur_support.insert(v);
-                }
-            }
-        }
-        BlockEvolution {
-            g,
-            kind,
-            n,
-            width,
-            cur,
-            nxt: vec![0.0; n * width],
-            cur_support,
-            nxt_support: BitSet::new(n),
-            candidates: BitSet::new(n),
-            dense: false,
-            crossover: DENSE_CROSSOVER,
             tile_rows: None,
             steps: 0,
         }
@@ -429,8 +398,22 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
         self.cur[j..].iter().step_by(self.width).copied()
     }
 
+    /// The distribution of a width-1 block, in place (lane 0 of a width-1
+    /// block is stored contiguously, so this is a borrow, not a copy).
+    ///
+    /// # Panics
+    /// Panics unless the block has exactly one lane.
+    pub fn solo_lane(&self) -> &[f64] {
+        assert_eq!(self.width, 1, "solo_lane: block has {} lanes", self.width);
+        &self.cur
+    }
+
     /// Copy column `j` into `out` (length `n`).
+    ///
+    /// # Panics
+    /// Panics if `j` is out of range or `out.len() != n`.
     pub fn copy_lane(&self, j: usize, out: &mut [f64]) {
+        assert!(j < self.width, "lane {j} out of range width {}", self.width);
         assert_eq!(out.len(), self.n, "copy_lane: length mismatch");
         for (v, o) in out.iter_mut().enumerate() {
             *o = self.cur[v * self.width + j];
@@ -483,80 +466,11 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
     }
 }
 
-/// A single walk distribution on the engine: the `width == 1` case of
-/// [`BlockEvolution`], with direct slice access (lane 0 of a width-1 block
-/// is stored contiguously).
-pub struct Evolution<'g, G: WalkGraph + ?Sized> {
-    block: BlockEvolution<'g, G>,
-}
-
-impl<'g, G: WalkGraph + ?Sized> Evolution<'g, G> {
-    /// Start from the point mass at `src`.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range or isolated.
-    pub fn from_point(g: &'g G, src: usize, kind: WalkKind) -> Self {
-        Evolution {
-            block: BlockEvolution::new(g, &[src], kind),
-        }
-    }
-
-    /// Start from an arbitrary distribution.
-    ///
-    /// # Panics
-    /// Panics on a size mismatch or mass on an isolated node.
-    pub fn from_dist(g: &'g G, p0: Dist, kind: WalkKind) -> Self {
-        Evolution {
-            block: BlockEvolution::from_dist(g, p0, kind),
-        }
-    }
-
-    /// Advance one step.
-    #[inline]
-    pub fn step(&mut self) {
-        self.block.step();
-    }
-
-    /// The current distribution as a slice (no copy).
-    #[inline]
-    pub fn current(&self) -> &[f64] {
-        &self.block.cur
-    }
-
-    /// The current distribution as an owned [`Dist`].
-    pub fn current_dist(&self) -> Dist {
-        Dist::from_vec(self.block.cur.clone())
-    }
-
-    /// Steps taken so far.
-    #[inline]
-    pub fn steps(&self) -> usize {
-        self.block.steps()
-    }
-
-    /// Whether the dense crossover has happened.
-    #[inline]
-    pub fn is_dense(&self) -> bool {
-        self.block.is_dense()
-    }
-
-    /// `‖p_t − other‖₁` in node order (bit-identical to
-    /// [`Dist::l1_distance`]).
-    #[inline]
-    pub fn l1_to(&self, other: &[f64]) -> f64 {
-        self.block.lane_l1(0, other)
-    }
-
-    /// Consume into the current distribution.
-    pub fn into_dist(self) -> Dist {
-        Dist::from_vec(self.block.cur)
-    }
-}
-
 /// Advance `sources.len()` point-mass walks `t` steps through one shared
 /// sweep per step and return the resulting distributions, in source order.
-/// Column `j` is bit-for-bit the result of `evolve(g, point(sources[j]),
-/// kind, t)`.
+/// Column `j` is bit-for-bit the result of `t` dense
+/// [`crate::step::step`]s from the point mass at `sources[j]`; a one-source
+/// call is the convenience form of a single walk.
 ///
 /// # Panics
 /// As [`BlockEvolution::new`].
@@ -616,9 +530,9 @@ mod tests {
         // the dense step.
         let (g, _) = gen::barbell(8, 16);
         let reference = dense_reference(&g, 3, WalkKind::Simple, 4);
-        let mut ev = Evolution::from_point(&g, 3, WalkKind::Simple);
+        let mut ev = BlockEvolution::new(&g, &[3], WalkKind::Simple);
         for (t, want) in reference.iter().enumerate() {
-            assert_eq!(&ev.current_dist(), want, "step {t}");
+            assert_eq!(ev.solo_lane(), want.as_slice(), "step {t}");
             ev.step();
         }
         assert!(!ev.is_dense(), "β=8 barbell should stay frontier-sparse");
@@ -630,9 +544,9 @@ mod tests {
         // dense path mid-run and stay bit-identical across the switch.
         let g = gen::random_regular(64, 6, 9);
         let reference = dense_reference(&g, 0, WalkKind::Lazy, 10);
-        let mut ev = Evolution::from_point(&g, 0, WalkKind::Lazy);
+        let mut ev = BlockEvolution::new(&g, &[0], WalkKind::Lazy);
         for (t, want) in reference.iter().enumerate() {
-            assert_eq!(&ev.current_dist(), want, "step {t}");
+            assert_eq!(ev.solo_lane(), want.as_slice(), "step {t}");
             ev.step();
         }
         assert!(ev.is_dense(), "expander run should have crossed to dense");
@@ -762,10 +676,10 @@ mod tests {
     fn from_dist_tracks_existing_support() {
         let g = gen::path(6);
         let p0 = Dist::from_vec(vec![0.0, 0.5, 0.0, 0.5, 0.0, 0.0]);
-        let mut ev = Evolution::from_dist(&g, p0.clone(), WalkKind::Lazy);
+        let mut ev = BlockEvolution::from_dists(&g, &[p0.as_slice()], WalkKind::Lazy);
         let mut p = p0;
         for t in 0..10 {
-            assert_eq!(ev.current(), p.as_slice(), "step {t}");
+            assert_eq!(ev.solo_lane(), p.as_slice(), "step {t}");
             ev.step();
             p = step(&g, &p, WalkKind::Lazy);
         }
@@ -806,6 +720,22 @@ mod tests {
     fn from_dists_empty_rejected() {
         let g = gen::path(4);
         let _ = BlockEvolution::from_dists(&g, &[], WalkKind::Lazy);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 out of range width 3")]
+    fn copy_lane_rejects_out_of_range_lane() {
+        let g = gen::path(8);
+        let block = BlockEvolution::new(&g, &[0, 3, 7], WalkKind::Lazy);
+        let mut out = vec![0.0; 8];
+        block.copy_lane(3, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "solo_lane: block has 2 lanes")]
+    fn solo_lane_rejects_wide_block() {
+        let g = gen::path(4);
+        let _ = BlockEvolution::new(&g, &[0, 3], WalkKind::Lazy).solo_lane();
     }
 
     #[test]

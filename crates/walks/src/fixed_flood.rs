@@ -41,15 +41,11 @@ pub struct FixedWalk {
 }
 
 impl FixedWalk {
-    /// Initialize at the point mass on `src` with scale `n^c` (simple walk).
-    pub fn new(g: &Graph, src: usize, c: u32, rounding: Rounding) -> Self {
-        Self::with_kind(g, src, c, rounding, WalkKind::Simple)
-    }
-
-    /// Initialize with an explicit walk kind. The lazy variant keeps
-    /// `nint(w/2)` at the node and ships `nint(w/2d)` per edge — the
-    /// footnote-5 fix that makes mixing well-defined on bipartite graphs.
-    pub fn with_kind(g: &Graph, src: usize, c: u32, rounding: Rounding, kind: WalkKind) -> Self {
+    /// Initialize at the point mass on `src` with scale `n^c`. The lazy
+    /// kind keeps `nint(w/2)` at the node and ships `nint(w/2d)` per edge —
+    /// the footnote-5 fix that makes mixing well-defined on bipartite
+    /// graphs.
+    pub fn new(g: &Graph, src: usize, c: u32, rounding: Rounding, kind: WalkKind) -> Self {
         assert!(src < g.n(), "source out of range");
         let scale = FixedScale::new(g.n(), c);
         let mut w = vec![scale.zero(); g.n()];
@@ -151,13 +147,6 @@ impl FixedWalk {
         };
         self.t as f64 * (d_max + lazy_extra) as f64 / (2.0 * self.scale.denominator() as f64)
     }
-}
-
-/// Convenience: run Algorithm 1 semantics for `ell` steps and return `p̃_ell`.
-pub fn estimate_rw_probability(g: &Graph, src: usize, ell: usize, c: u32) -> Dist {
-    let mut fw = FixedWalk::new(g, src, c, Rounding::Nearest);
-    fw.run(g, ell);
-    fw.to_dist()
 }
 
 // ---------------------------------------------------------------------------
@@ -392,16 +381,16 @@ impl WeightedFixedWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{evolve, WalkKind};
+    use crate::engine::evolve_block;
     use lmt_graph::gen;
 
     #[test]
     fn tracks_exact_distribution_within_lemma2_bound() {
         let g = gen::cycle(9);
-        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest);
+        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest, WalkKind::Simple);
         for t in 1..=50 {
             fw.step(&g);
-            let exact = evolve(&g, &Dist::point(9, 0), WalkKind::Simple, t);
+            let exact = evolve_block(&g, &[0], WalkKind::Simple, t).remove(0);
             let est = fw.to_dist();
             let bound = fw.error_bound(&g) + 1e-12;
             for v in 0..9 {
@@ -418,7 +407,7 @@ mod tests {
     #[test]
     fn mass_stays_close_to_one_with_nearest() {
         let (g, _) = gen::barbell(2, 5);
-        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest);
+        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest, WalkKind::Simple);
         fw.run(&g, 100);
         let m = fw.to_dist().mass();
         assert!((m - 1.0).abs() < 1e-3, "mass drifted to {m}");
@@ -427,7 +416,7 @@ mod tests {
     #[test]
     fn floor_mode_never_exceeds_mass_one() {
         let g = gen::complete(6);
-        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Floor);
+        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Floor, WalkKind::Simple);
         for _ in 0..200 {
             fw.step(&g);
             assert!(fw.to_dist().mass() <= 1.0 + 1e-12);
@@ -437,7 +426,7 @@ mod tests {
     #[test]
     fn initial_state_is_point_mass() {
         let g = gen::path(4);
-        let fw = FixedWalk::new(&g, 2, 6, Rounding::Nearest);
+        let fw = FixedWalk::new(&g, 2, 6, Rounding::Nearest, WalkKind::Simple);
         let d = fw.to_dist();
         assert_eq!(d.get(2), 1.0);
         assert_eq!(d.mass(), 1.0);
@@ -445,23 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn estimate_matches_manual_walk() {
-        let g = gen::path(5);
-        let a = estimate_rw_probability(&g, 0, 7, 6);
-        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest);
-        fw.run(&g, 7);
-        assert_eq!(a, fw.to_dist());
-    }
-
-    #[test]
     fn lazy_mode_tracks_lazy_walk_on_bipartite_graph() {
         // Footnote 5: on bipartite graphs only the lazy walk mixes; the
         // lazy fixed-point flood must track the exact lazy distribution.
         let g = gen::hypercube(4);
-        let mut fw = FixedWalk::with_kind(&g, 0, 6, Rounding::Nearest, WalkKind::Lazy);
+        let mut fw = FixedWalk::new(&g, 0, 6, Rounding::Nearest, WalkKind::Lazy);
         for t in 1..=60 {
             fw.step(&g);
-            let exact = evolve(&g, &Dist::point(16, 0), WalkKind::Lazy, t);
+            let exact = evolve_block(&g, &[0], WalkKind::Lazy, t).remove(0);
             let est = fw.to_dist();
             let bound = fw.error_bound(&g) + 1e-12;
             for v in 0..16 {
@@ -484,7 +464,7 @@ mod tests {
         let (g, _) = gen::barbell(3, 5);
         let wg = lmt_graph::WeightedGraph::unit(g.clone());
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            let mut fw = FixedWalk::with_kind(&g, 2, 6, Rounding::Nearest, kind);
+            let mut fw = FixedWalk::new(&g, 2, 6, Rounding::Nearest, kind);
             let mut wfw = WeightedFixedWalk::new(&wg, 2, 6, kind);
             for t in 1..=40 {
                 fw.step(&g);
@@ -504,7 +484,7 @@ mod tests {
         let q = 9f64.powi(6);
         for t in 1..=30 {
             wfw.step(&wg);
-            let exact = evolve(&wg, &Dist::point(9, 0), WalkKind::Simple, t);
+            let exact = evolve_block(&wg, &[0], WalkKind::Simple, t).remove(0);
             let est = wfw.to_dist();
             let bound = t as f64 * (4.0 + 1.0) / (2.0 * q) + t as f64 * 1e-5;
             for v in 0..9 {
@@ -548,9 +528,13 @@ mod tests {
     #[test]
     fn higher_c_tightens_error() {
         let g = gen::grid(3, 3);
-        let exact = evolve(&g, &Dist::point(9, 0), WalkKind::Simple, 30);
-        let coarse = estimate_rw_probability(&g, 0, 30, 4);
-        let fine = estimate_rw_probability(&g, 0, 30, 8);
+        let exact = evolve_block(&g, &[0], WalkKind::Simple, 30).remove(0);
+        let run = |c| {
+            let mut fw = FixedWalk::new(&g, 0, c, Rounding::Nearest, WalkKind::Simple);
+            fw.run(&g, 30);
+            fw.to_dist()
+        };
+        let (coarse, fine) = (run(4), run(8));
         let err_coarse = coarse.l1_distance(&exact);
         let err_fine = fine.l1_distance(&exact);
         assert!(err_fine <= err_coarse + 1e-15, "{err_fine} > {err_coarse}");

@@ -24,12 +24,15 @@
 //!
 //! Modules:
 //! * [`dist`] — dense distribution vectors, L1/L∞ distances, restrictions.
-//! * [`step`] — one walk step (simple or lazy, unweighted or weighted),
-//!   rayon-parallel for large `n`.
-//! * [`engine`] — the evolution engine the sweeps run on: frontier-sparse
-//!   stepping (cost `O(vol(support))`, bit-identical to dense) and
-//!   multi-source blocking (one shared CSR sweep for `B` columns). The
-//!   `mixing`/`local` entry points are thin wrappers over it.
+//! * [`step`] — the walk kinds and the dense reference step (simple or
+//!   lazy, unweighted or weighted), rayon-parallel for large `n`.
+//! * [`engine`] — the one evolution engine,
+//!   [`engine::BlockEvolution`]: frontier-sparse stepping (cost
+//!   `O(vol(support))`, bit-identical to the dense reference) and
+//!   multi-source blocking (one shared CSR sweep for `B` columns). A
+//!   single walk is a one-lane block ([`engine::evolve_block`] with one
+//!   source for a one-shot run); the `mixing`/`local` entry points are
+//!   thin wrappers over it.
 //! * [`stationary`] — `π ∝ W` and restricted `π_S` (§2.2).
 //! * [`mixing`] — `τ_mix_s(ε)` (Definition 1), using Lemma 1 monotonicity,
 //!   with hard caps.
@@ -43,9 +46,10 @@
 //!   bit-for-bit for any `(β, ε)` without re-running the walk, plus the
 //!   resume distribution for extending the walk later. The cache substrate
 //!   of the `lmt-service` query layer.
-//! * [`fixed_flood`] — Algorithm 1 semantics (rounding to multiples of
-//!   `1/n^c`) as a centralized iteration, plus the weighted variant with
-//!   quantized edge weights ([`fixed_flood::QuantizedWeights`]).
+//! * [`fixed_flood`] — the centralized references of Algorithm 1
+//!   (rounding to multiples of `1/n^c`): [`fixed_flood::FixedWalk`] and
+//!   the weighted [`fixed_flood::WeightedFixedWalk`] with quantized edge
+//!   weights ([`fixed_flood::QuantizedWeights`]).
 //! * [`sampler`] — token-level random-walk endpoint sampling (the Das Sarma
 //!   et al. baseline ingredient), weighted-transition aware.
 //!

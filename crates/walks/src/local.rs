@@ -35,7 +35,7 @@
 //! historical dense per-source iteration with a full sort and an unpruned
 //! scan.
 
-use crate::engine::{BlockEvolution, Evolution};
+use crate::engine::BlockEvolution;
 use crate::mixing::SWEEP_BLOCK;
 use crate::step::{step, WalkKind};
 use crate::Dist;
@@ -555,10 +555,10 @@ pub fn local_mixing_time<G: WalkGraph + ?Sized>(
     }
     let sizes = size_grid(g.n(), opts);
     let src_opt = opts.require_source.then_some(src);
-    let mut ev = Evolution::from_point(g, src, opts.kind);
+    let mut ev = BlockEvolution::new(g, &[src], opts.kind);
     let mut scratch = WitnessScratch::new(g.n());
     for t in 0..=opts.max_t {
-        if let Some(w) = scratch.check(ev.current(), &sizes, opts.eps, src_opt) {
+        if let Some(w) = scratch.check(ev.solo_lane(), &sizes, opts.eps, src_opt) {
             return Ok(LocalMixResult { tau: t, witness: w });
         }
         if t < opts.max_t {
@@ -639,9 +639,9 @@ pub fn restricted_trace<G: WalkGraph + ?Sized>(
     crate::step::assert_source(g, src, "restricted_trace");
     let target = 1.0 / set.len() as f64;
     let mut out = Vec::with_capacity(t_max + 1);
-    let mut ev = Evolution::from_point(g, src, kind);
+    let mut ev = BlockEvolution::new(g, &[src], kind);
     for t in 0..=t_max {
-        let p = ev.current();
+        let p = ev.solo_lane();
         let d: f64 = set.iter().map(|&u| (p[u] - target).abs()).sum();
         out.push(d);
         if t < t_max {
@@ -1189,12 +1189,13 @@ mod tests {
                 ..opts(8.0)
             };
             let sizes = size_grid(n, &o);
-            let mut ev = Evolution::from_point(&g, 0, o.kind);
+            let mut ev = BlockEvolution::new(&g, &[0], o.kind);
             let mut scratch = WitnessScratch::new(n);
             let mut unpruned = 0u64;
             let mut t = 0;
             let w = loop {
-                let found = scratch.check(ev.current(), &sizes, o.eps, require_source.then_some(0));
+                let src_opt = require_source.then_some(0);
+                let found = scratch.check(ev.solo_lane(), &sizes, o.eps, src_opt);
                 let inspected = found.as_ref().map_or(sizes.len(), |w| {
                     sizes.iter().position(|&r| r == w.size).unwrap() + 1
                 });

@@ -7,7 +7,7 @@
 //! (sharing one `stationary(g)` across all of them). Results are
 //! bit-for-bit what the historical per-source dense iteration produced.
 
-use crate::engine::{BlockEvolution, Evolution};
+use crate::engine::BlockEvolution;
 use crate::stationary::stationary;
 use crate::step::WalkKind;
 use lmt_graph::WalkGraph;
@@ -70,9 +70,9 @@ pub fn mixing_time<G: WalkGraph + ?Sized>(
     assert!(eps > 0.0 && eps < 1.0, "ε must lie in (0,1)");
     crate::step::assert_source(g, src, "mixing_time");
     let pi = stationary(g);
-    let mut ev = Evolution::from_point(g, src, kind);
+    let mut ev = BlockEvolution::new(g, &[src], kind);
     for t in 0..=max_t {
-        let d = ev.l1_to(pi.as_slice());
+        let d = ev.lane_l1(0, pi.as_slice());
         if d < eps {
             return Ok(MixingResult {
                 tau: t,
@@ -147,10 +147,10 @@ pub fn graph_mixing_time<G: WalkGraph + ?Sized>(
 pub fn l1_trace<G: WalkGraph + ?Sized>(g: &G, src: usize, kind: WalkKind, t_max: usize) -> Vec<f64> {
     crate::step::assert_source(g, src, "l1_trace");
     let pi = stationary(g);
-    let mut ev = Evolution::from_point(g, src, kind);
+    let mut ev = BlockEvolution::new(g, &[src], kind);
     let mut out = Vec::with_capacity(t_max + 1);
     for t in 0..=t_max {
-        out.push(ev.l1_to(pi.as_slice()));
+        out.push(ev.lane_l1(0, pi.as_slice()));
         if t < t_max {
             ev.step();
         }

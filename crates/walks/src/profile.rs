@@ -14,9 +14,10 @@
 //! evolution of `s` answers *every* subsequent `(β, ε)` query for `s`.
 //!
 //! This is the cache substrate of the `lmt-service` query layer; the curve
-//! itself is engine-agnostic — callers feed it distributions from an
-//! [`crate::engine::Evolution`], a [`crate::engine::BlockEvolution`] lane,
-//! or anything else, and extend a curve later by restarting the engine from
+//! itself is engine-agnostic — callers feed it distributions from a
+//! [`crate::engine::BlockEvolution`] lane (in place via
+//! [`crate::engine::BlockEvolution::solo_lane`] for a one-source block) or
+//! anything else, and extend a curve later by restarting the engine from
 //! [`SourceCurve::resume_dist`] (see
 //! [`crate::engine::BlockEvolution::from_dists`]).
 //!
@@ -171,7 +172,7 @@ impl SourceCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Evolution;
+    use crate::engine::BlockEvolution;
     use crate::local::{local_mixing_time, size_grid, LocalMixOptions};
     use crate::step::WalkKind;
     use lmt_graph::gen;
@@ -184,9 +185,9 @@ mod tests {
     ) -> SourceCurve {
         let mut curve = SourceCurve::new();
         let mut scratch = WitnessScratch::new(g.n());
-        let mut ev = Evolution::from_point(g, src, kind);
+        let mut ev = BlockEvolution::new(g, &[src], kind);
         for t in 0..=t_max {
-            curve.record(ev.current(), &mut scratch);
+            curve.record(ev.solo_lane(), &mut scratch);
             if t < t_max {
                 ev.step();
             }
@@ -265,11 +266,11 @@ mod tests {
         let g = gen::complete(12);
         let curve = record_curve(&g, 0, WalkKind::Simple, 4);
         assert_eq!(curve.recorded(), 5);
-        let mut ev = Evolution::from_point(&g, 0, WalkKind::Simple);
+        let mut ev = BlockEvolution::new(&g, &[0], WalkKind::Simple);
         for _ in 0..4 {
             ev.step();
         }
-        assert_eq!(curve.resume_dist(), ev.current());
+        assert_eq!(curve.resume_dist(), ev.solo_lane());
         // Snapshots hold only nonzero entries: 1, 11, then 12 ×3 of them.
         let entries = 1 + 11 + 3 * 12;
         assert_eq!(curve.snapshot_bytes(), 12 * entries + 8 * g.n() + 2);
@@ -282,9 +283,9 @@ mod tests {
         let g = gen::path(12);
         let mut curve = SourceCurve::new();
         let mut scratch = WitnessScratch::new(g.n());
-        let mut ev = Evolution::from_point(&g, 0, WalkKind::Simple);
+        let mut ev = BlockEvolution::new(&g, &[0], WalkKind::Simple);
         for t in 0..6 {
-            curve.record(ev.current(), &mut scratch);
+            curve.record(ev.solo_lane(), &mut scratch);
             assert_eq!(curve.support_len(), t + 1, "support after step {t}");
             for v in 0..g.n() {
                 assert_eq!(curve.support_contains(v), v <= t, "node {v} at step {t}");

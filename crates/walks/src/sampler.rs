@@ -111,7 +111,8 @@ pub fn empirical_distribution<G: WalkGraph + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{evolve, WalkKind};
+    use crate::engine::evolve_block;
+    use crate::step::WalkKind;
     use lmt_graph::gen;
 
     #[test]
@@ -141,7 +142,7 @@ mod tests {
     fn empirical_approaches_exact_distribution() {
         let g = gen::complete(8);
         let len = 2;
-        let exact = evolve(&g, &Dist::point(8, 0), WalkKind::Simple, len);
+        let exact = evolve_block(&g, &[0], WalkKind::Simple, len).remove(0);
         let emp = empirical_distribution(&g, 0, len, 40_000, 7);
         // L1 error of the empirical estimate should be tiny at 40k samples.
         assert!(
@@ -169,7 +170,7 @@ mod tests {
         b.add_edge(1, 2, 1.0);
         let g = b.build();
         let len = 3;
-        let exact = evolve(&g, &Dist::point(3, 0), WalkKind::Simple, len);
+        let exact = evolve_block(&g, &[0], WalkKind::Simple, len).remove(0);
         let emp = empirical_distribution(&g, 0, len, 40_000, 13);
         assert!(
             emp.l1_distance(&exact) < 0.05,

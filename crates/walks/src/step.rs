@@ -1,6 +1,13 @@
 //! One step of the walk operator: `p ↦ A p`, where `A` is the transpose of
 //! the transition matrix (§2.1).
 //!
+//! [`step`] is the **dense reference**: it pulls all `n` nodes every call
+//! and allocates a fresh [`Dist`]. Multi-step walks run on the evolution
+//! engine ([`crate::engine::BlockEvolution`]), which is bit-identical to
+//! iterating [`step`]; the reference stays for the spectral and stationary
+//! code, the brute-force oracle, the `dense` sweep engine and the tests
+//! that check the engine against it.
+//!
 //! Everything here is generic over [`WalkGraph`], so the same operator
 //! drives unweighted [`lmt_graph::Graph`]s (transition `1/d(u)`, the
 //! paper's setting — arithmetic unchanged bit-for-bit from the pre-trait
@@ -66,8 +73,8 @@ pub fn assert_source<G: WalkGraph + ?Sized>(g: &G, src: usize, what: &str) {
 ///
 /// # Panics
 /// Debug builds panic if `p` places mass on an isolated node (that mass
-/// would silently vanish); the one-shot entry points ([`evolve`], the
-/// mixing-time functions) check this in release builds too.
+/// would silently vanish); the engine constructors and the mixing-time
+/// functions check this in release builds too.
 pub fn step<G: WalkGraph + ?Sized>(g: &G, p: &Dist, kind: WalkKind) -> Dist {
     assert_eq!(p.n(), g.n(), "step: distribution/graph size mismatch");
     let ps = p.as_slice();
@@ -86,19 +93,6 @@ pub fn step<G: WalkGraph + ?Sized>(g: &G, p: &Dist, kind: WalkKind) -> Dist {
         .map(pull)
         .collect();
     Dist::from_vec(out)
-}
-
-/// Run `t` steps from `p0`, on the frontier-sparse engine
-/// ([`crate::engine`]) — bit-identical to `t` dense [`step`]s.
-///
-/// # Panics
-/// Panics if `p0` places mass on an isolated node (see [`step`]).
-pub fn evolve<G: WalkGraph + ?Sized>(g: &G, p0: &Dist, kind: WalkKind, t: usize) -> Dist {
-    let mut ev = crate::engine::Evolution::from_dist(g, p0.clone(), kind);
-    for _ in 0..t {
-        ev.step();
-    }
-    ev.into_dist()
 }
 
 #[cfg(test)]
@@ -139,9 +133,8 @@ mod tests {
     #[test]
     fn evolve_matches_repeated_step() {
         let g = gen::cycle(7);
-        let p0 = Dist::point(7, 0);
-        let via_evolve = evolve(&g, &p0, WalkKind::Lazy, 5);
-        let mut p = p0;
+        let via_evolve = crate::engine::evolve_block(&g, &[0], WalkKind::Lazy, 5).remove(0);
+        let mut p = Dist::point(7, 0);
         for _ in 0..5 {
             p = step(&g, &p, WalkKind::Lazy);
         }
@@ -238,6 +231,6 @@ mod tests {
         let mut b = lmt_graph::GraphBuilder::new(3);
         b.add_edge(0, 1);
         let g = b.build();
-        let _ = evolve(&g, &Dist::point(3, 2), WalkKind::Simple, 5);
+        let _ = crate::engine::evolve_block(&g, &[2], WalkKind::Simple, 5);
     }
 }

@@ -8,8 +8,8 @@ use lmt_walks::local::{
 };
 use lmt_walks::mixing::mixing_time;
 use lmt_walks::stationary::stationary;
-use lmt_walks::step::{evolve, step, WalkKind};
-use lmt_walks::Dist;
+use lmt_walks::engine::evolve_block;
+use lmt_walks::step::{step, WalkKind};
 use proptest::prelude::*;
 
 const EPS: f64 = 1.0 / (8.0 * std::f64::consts::E);
@@ -49,9 +49,9 @@ proptest! {
         let g = gen::erdos_renyi(n, p, seed);
         prop_assume!(props::is_connected(&g));
         for rounding in [Rounding::Nearest, Rounding::Floor] {
-            let mut fw = FixedWalk::new(&g, 0, 6, rounding);
+            let mut fw = FixedWalk::new(&g, 0, 6, rounding, WalkKind::Simple);
             fw.run(&g, steps);
-            let exact = evolve(&g, &Dist::point(n, 0), WalkKind::Simple, steps);
+            let exact = evolve_block(&g, &[0], WalkKind::Simple, steps).remove(0);
             let est = fw.to_dist();
             // Floor mode loses at most 1 ulp per neighbor per step, i.e.
             // twice the nearest-mode per-share bound.
@@ -82,7 +82,7 @@ proptest! {
         let n = n + n % 2;
         let g = gen::random_regular(n, 4, seed);
         prop_assume!(props::is_connected(&g));
-        let p = evolve(&g, &Dist::point(n, 0), WalkKind::Lazy, 10);
+        let p = evolve_block(&g, &[0], WalkKind::Lazy, 10).remove(0);
         let sizes: Vec<usize> = (n / 4..=n).collect();
         if let Some(w) = check_dist(&p, &sizes, 0.9, None) {
             let target = 1.0 / w.size as f64;
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn sampler_concentrates(seed in any::<u64>()) {
         let g = gen::complete(12);
-        let exact = evolve(&g, &Dist::point(12, 0), WalkKind::Simple, 3);
+        let exact = evolve_block(&g, &[0], WalkKind::Simple, 3).remove(0);
         let few = lmt_walks::sampler::empirical_distribution(&g, 0, 3, 50, seed);
         let many = lmt_walks::sampler::empirical_distribution(&g, 0, 3, 20_000, seed);
         prop_assert!(many.l1_distance(&exact) < few.l1_distance(&exact) + 0.05);

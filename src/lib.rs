@@ -7,7 +7,9 @@
 //!
 //! * `lmt-graph` — CSR graphs (static and churning), generators (β-barbell
 //!   & co.), properties
-//! * `lmt-walks` — walk distributions, mixing times, the τ_s(β,ε) oracle
+//! * `lmt-walks` — walk distributions, the one evolution engine
+//!   (`BlockEvolution`; a single walk is a one-lane block), mixing times,
+//!   the τ_s(β,ε) oracle
 //! * `lmt-spectral` — λ₂, Cheeger checks, sweep cuts, weak conductance
 //! * `lmt-congest` — the CONGEST simulator and protocol primitives
 //! * `lmt-core` — Algorithms 1–2, the exact variant, baselines
@@ -41,7 +43,7 @@ pub mod prelude {
         ChurnOutcome, ServiceClient, ServiceConfig, ServiceStats, ServiceWorker, TauAnswer,
         TauQuery, TauService,
     };
-    pub use lmt_walks::engine::{evolve_block, BlockEvolution, Evolution};
+    pub use lmt_walks::engine::{evolve_block, BlockEvolution};
     pub use lmt_walks::local::{
         graph_local_mixing_time, local_mixing_time, restricted_trace, FlatPolicy,
         LocalMixError, LocalMixOptions, LocalMixResult, SizeGrid, WitnessScratch,

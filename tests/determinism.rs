@@ -15,7 +15,7 @@
 
 use local_mixing_repro::prelude::*;
 use lmt_congest::bfs::build_bfs_tree;
-use lmt_congest::flood::estimate_rw_probability_kind;
+use lmt_congest::flood::FloodGraph;
 use lmt_congest::message::olog_budget;
 use lmt_core::graph_tau::graph_local_mixing_time_sampled;
 use lmt_walks::sampler::endpoint_counts;
@@ -118,10 +118,10 @@ proptest! {
         prop_assume!(props::is_connected(&g));
         let results = at_widths(|| {
             both_engines(|engine| {
-                let (weights, scale, m) = estimate_rw_probability_kind(
-                    &g, 0, 8, 6, WalkKind::Lazy, olog_budget(n, 10), engine, seed ^ 0xF1,
-                )
-                .expect("flood");
+                let budget = olog_budget(n, 10);
+                let (weights, scale, m) = g
+                    .estimate_flood(0, 8, 6, WalkKind::Lazy, budget, engine, seed ^ 0xF1)
+                    .expect("flood");
                 format!("{weights:?} | {scale:?} | {m:?}")
             })
         });
@@ -184,12 +184,7 @@ proptest! {
         prop_assume!(props::is_connected(&g));
         let wg = gen::weighted::random_weights(g, 0.25, 4.0, seed ^ 0x7E1);
         let results = at_widths(|| {
-            let p = lmt_walks::step::evolve(
-                &wg,
-                &Dist::point(n, 0),
-                WalkKind::Lazy,
-                20,
-            );
+            let p = evolve_block(&wg, &[0], WalkKind::Lazy, 20).remove(0);
             format!("{p:?}")
         });
         for pair in results.windows(2) {
@@ -439,7 +434,6 @@ fn routing_multi_shard_parallel_equals_sequential() {
 /// width — on unweighted and on randomly-weighted graphs.
 mod evolution_engine {
     use super::*;
-    use lmt_walks::engine::{evolve_block, BlockEvolution, Evolution};
     use lmt_walks::step::step;
 
     /// `p_0..p_t` by iterated dense steps — the historical reference path.
@@ -467,9 +461,9 @@ mod evolution_engine {
         t: usize,
     ) -> String {
         let reference = dense_trajectory(g, src, kind, t);
-        let mut ev = Evolution::from_point(g, src, kind);
+        let mut ev = BlockEvolution::new(g, &[src], kind);
         for (step_no, want) in reference.iter().enumerate() {
-            assert_eq!(&ev.current_dist(), want, "sparse != dense at step {step_no}");
+            assert_eq!(ev.solo_lane(), want.as_slice(), "sparse != dense at step {step_no}");
             ev.step();
         }
         format!("{:?} | dense={}", reference.last().unwrap(), ev.is_dense())
@@ -845,8 +839,6 @@ proptest! {
 /// pool widths 1/2/8 and engine block widths 1/2/8.
 mod churn_layer {
     use super::*;
-    use lmt_congest::flood::FloodGraph;
-    use lmt_walks::engine::evolve_block;
 
     /// Apply `batches` degree-preserving 2-swap batches drawn by a
     /// [`SwapDrawer`] seeded with `seed`, so every failure replays exactly.

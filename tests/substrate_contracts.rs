@@ -5,7 +5,7 @@
 use local_mixing_repro::prelude::*;
 use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::binsearch::{sum_of_r_smallest, TieBreak};
-use lmt_congest::flood::estimate_rw_probability;
+use lmt_congest::flood::FloodGraph;
 use lmt_congest::message::olog_budget;
 use lmt_util::order::sum_of_r_smallest as central_r_smallest;
 
@@ -13,22 +13,28 @@ use lmt_util::order::sum_of_r_smallest as central_r_smallest;
 fn distributed_flood_equals_centralized_fixed_walk() {
     let (g, _) = gen::ring_of_cliques_regular(4, 8);
     for ell in [1u64, 5, 30] {
-        let (w, scale, _) = estimate_rw_probability(
+        let (w, scale, _) = g
+            .estimate_flood(
+                2,
+                ell,
+                6,
+                WalkKind::Simple,
+                olog_budget(g.n(), 10),
+                EngineKind::Sequential,
+                1,
+            )
+            .unwrap();
+        let mut reference = lmt_walks::fixed_flood::FixedWalk::new(
             &g,
             2,
-            ell,
             6,
-            olog_budget(g.n(), 10),
-            EngineKind::Sequential,
-            1,
-        )
-        .unwrap();
-        let mut reference =
-            lmt_walks::fixed_flood::FixedWalk::new(&g, 2, 6, lmt_walks::fixed_flood::Rounding::Nearest);
+            lmt_walks::fixed_flood::Rounding::Nearest,
+            WalkKind::Simple,
+        );
         reference.run(&g, ell as usize);
         assert_eq!(w, reference.w, "ell={ell}");
         // And both track the exact f64 walk within the Lemma 2 bound.
-        let exact = lmt_walks::step::evolve(&g, &Dist::point(g.n(), 2), WalkKind::Simple, ell as usize);
+        let exact = evolve_block(&g, &[2], WalkKind::Simple, ell as usize).remove(0);
         let bound = reference.error_bound(&g) + 1e-12;
         for (v, &wv) in w.iter().enumerate() {
             assert!((scale.to_f64(wv) - exact.get(v)).abs() <= bound);

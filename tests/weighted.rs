@@ -16,7 +16,7 @@
 use local_mixing_repro::prelude::*;
 use lmt_core::graph_tau::graph_local_mixing_time_sampled;
 use lmt_walks::stationary::stationary;
-use lmt_walks::step::{evolve, step};
+use lmt_walks::step::step;
 use proptest::prelude::*;
 
 /// Strategy: spec of a connected-ish random regular graph (n·d even,
@@ -54,8 +54,8 @@ proptest! {
             );
         }
         prop_assert_eq!(
-            format!("{:?}", evolve(&g, &Dist::point(n, 1), WalkKind::Simple, 12)),
-            format!("{:?}", evolve(&wg, &Dist::point(n, 1), WalkKind::Simple, 12))
+            format!("{:?}", evolve_block(&g, &[1], WalkKind::Simple, 12).remove(0)),
+            format!("{:?}", evolve_block(&wg, &[1], WalkKind::Simple, 12).remove(0))
         );
     }
 }
