@@ -69,8 +69,11 @@ impl SortedPrefix {
     ///
     /// Debug builds verify sortedness; release builds trust the caller.
     pub fn refill_sorted<I: IntoIterator<Item = f64>>(&mut self, vals: I) {
+        let vals = vals.into_iter();
         self.vals.clear();
         self.pre.clear();
+        self.vals.reserve_exact(vals.size_hint().0);
+        self.pre.reserve_exact(vals.size_hint().0 + 1);
         self.pre.push(0.0);
         let mut acc = 0.0;
         let mut abs = 0.0;

@@ -12,7 +12,11 @@
 //! sorted (the zeros are one id-ordered run), and a window of size `R`
 //! holding less than `1 − ε` of the mass cannot pass
 //! (`Σ|p − 1/R| ≥ 1 − mass`), so each size scans only the few windows that
-//! hold nearly all of it.
+//! hold nearly all of it. Most steps need neither half: a bucket histogram
+//! of `p_t`, built in one `O(n)` pass, bounds every set's distance from
+//! below, and a step it proves witness-free skips the sort and the scan
+//! ([`WitnessScratch::check`]). On the 2²⁰-node expander that leaves one
+//! sort per query, at step `τ_s`.
 //!
 //! The oracle supports:
 //! * every set size (`SizeGrid::All`) — the exact Definition 2 quantity — or
@@ -57,8 +61,13 @@ pub enum SizeGrid {
     /// every size `R ≥ (1 − ε)·n` keeps all its `n − R + 1` windows, about
     /// `ε²·n²/2` in total (~10⁹ at n = 2²⁰, ε = 1/8e). While the support
     /// is small it is far cheaper: a size whose heaviest window is too light
-    /// is dropped in `O(1)`. Meant for small graphs and for cross-checking
-    /// [`SizeGrid::Geometric`], which inspects only `O(log β / ε)` sizes.
+    /// is dropped in `O(1)`. The bucket certificate of
+    /// [`WitnessScratch::check`] does not help here: it gives up once
+    /// `|sizes|` times its nonempty buckets exceeds `n`, which with
+    /// `|sizes| ≈ n·(1 − 1/β)` is almost always, so every step pays its
+    /// `O(n)` histogram pass on top of the sort and the scan. Meant for
+    /// small graphs and for cross-checking [`SizeGrid::Geometric`], which
+    /// inspects only `O(log β / ε)` sizes.
     All,
     /// The paper's grid: `⌈n/β⌉, ⌈(1+ε)n/β⌉, ⌈(1+ε)²n/β⌉, …, n`.
     Geometric,
@@ -180,38 +189,53 @@ impl std::error::Error for LocalMixError {}
 pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
     let r_min = ((n as f64 / opts.beta).ceil() as usize).clamp(1, n);
     match opts.grid {
+        // The geometric loop multiplies `r ≤ n − 1` by `f = fl(1 + ε)`, and
+        // `f ≤ (1 + ε)(1 + u)` with `u = EPSILON/2`, so for `0 ≤ ε < 1` each
+        // step adds `0 ≤ fl(r·f) − r ≤ r·ε + 4u·r`, which is `< 1` once
+        // `n·ε ≤ 1/2`. So `⌈r⌉` never skips an integer, and whenever the
+        // loop ends it has pushed exactly `r_min..=n`. The shortcut returns
+        // that directly, also where the loop would never end (`1 + ε == 1`)
+        // or would take `≈ ln β / ε` steps.
         SizeGrid::All => (r_min..=n).collect(),
-        SizeGrid::Geometric => {
-            let mut sizes = Vec::new();
-            let mut r = r_min as f64;
-            loop {
-                let ri = (r.ceil() as usize).min(n);
-                if sizes.last() != Some(&ri) {
-                    sizes.push(ri);
-                }
-                if ri >= n {
-                    break;
-                }
-                r *= 1.0 + opts.eps;
-            }
-            sizes
-        }
+        SizeGrid::Geometric if n as f64 * opts.eps <= 0.5 => (r_min..=n).collect(),
+        SizeGrid::Geometric => geometric_sizes(r_min, n, opts.eps),
     }
 }
 
+/// The `(1+ε)` grid from `r_min` to `n`, one multiplication per step.
+fn geometric_sizes(r_min: usize, n: usize, eps: f64) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut r = r_min as f64;
+    loop {
+        let ri = (r.ceil() as usize).min(n);
+        if sizes.last() != Some(&ri) {
+            sizes.push(ri);
+        }
+        if ri >= n {
+            break;
+        }
+        r *= 1.0 + eps;
+    }
+    sizes
+}
+
 /// Reusable buffers for the per-step witness check: the id permutation,
-/// the packed sort keys, the prefix-sum structure, and the `s ∈ S` side
-/// buffers, allocated once and refilled in place on every walk step.
+/// the prefix-sum structure, the `s ∈ S` side buffers and the
+/// certificate's bucket table, allocated once and refilled in place on
+/// every walk step.
 ///
-/// The check is **support-sparse** and **prune-first**:
-/// [`load`](Self::load) emits the zero-mass ids in one `O(n)` pass and
-/// sorts only the support, and the grid scan hands each size to
-/// [`SortedPrefix::best_window_below`], which skips (by binary search, or
-/// the whole size in `O(1)`) every window too light to pass. While
-/// `supp(p_t)` is a small ball a step costs `O(n + k log k)` for `k` nonzero
-/// entries plus a few windows per size, instead of a full sort and
-/// `Θ(n)` windows per size. Every witness — size, `l1` bits, node list —
-/// is identical to the unpruned scan over the full `(value, id)` sort.
+/// The check is **certify-first**, **support-sparse** and **prune-first**:
+/// [`check`](Self::check) first tries to prove from an `O(n)` bucket
+/// histogram that no grid size has a passing set, and returns `None`
+/// without sorting when it can. Otherwise [`load`](Self::load) emits the
+/// zero-mass ids in one `O(n)` pass and sorts only the support, and the
+/// grid scan hands each size to [`SortedPrefix::best_window_below`], which
+/// skips (by binary search, or the whole size in `O(1)`) every window too
+/// light to pass. While `supp(p_t)` is a small ball a sorted step costs
+/// `O(n + k log k)` for `k` nonzero entries plus a few windows per size,
+/// instead of a full sort and `Θ(n)` windows per size. Every witness —
+/// size, `l1` bits, node list — is identical to the unpruned scan over the
+/// full `(value, id)` sort.
 ///
 /// This is *the* witness evaluator of the repo: the solo oracle
 /// ([`local_mixing_time`]), the blocked sweep ([`graph_local_mixing_time`]),
@@ -230,16 +254,96 @@ pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
 pub struct WitnessScratch {
     /// Node ids, `(value, id)`-sorted as of the last load.
     ids: Vec<u32>,
-    /// `(order key << 32) | id` of each nonzero entry (see [`order_key`]).
-    keys: Vec<u128>,
     sp: SortedPrefix,
     rest_ids: Vec<u32>,
     rest_sp: SortedPrefix,
     /// Node-indexed marks for rebuilding a zero run; all `false` between
     /// calls.
     mark: Vec<bool>,
+    /// The certificate's nonempty buckets in value order, as of the last
+    /// [`certify`](Self::certify); at most `BUCKETS + 3` entries.
+    buckets: Vec<Bucket>,
     /// Windows evaluated by all scans so far.
     windows: u64,
+    /// `check` calls answered by the certificate alone.
+    certified: u64,
+    /// Calls of `load`.
+    sorts: u64,
+}
+
+/// Leading [`order_key`] bits that name a certificate bucket: the sign,
+/// the 11 exponent bits and the top 8 mantissa bits, so 256 buckets per
+/// binade, each spanning less than 0.4% of its values.
+const BUCKET_KEY_BITS: u32 = 20;
+
+/// The bottom of the certificate's binned range, `2⁻⁶⁴`. Positive entries
+/// below it share one underflow bucket, which loosens each one's distance
+/// to `c` by less than `2⁻⁶⁴`: under `2⁻³²` of any `c = 1/w` with `w < 2³²`.
+const BUCKET_FLOOR: f64 = 1.0 / (1u128 << 64) as f64;
+
+/// Binned slots of the certificate's table: the 72 binades from
+/// [`BUCKET_FLOOR`] up to `2⁸`. Entries at or above `2⁸` share one overflow
+/// bucket, and zeros have one of their own, so the table is `BUCKETS + 3`
+/// slots of 24 bytes (≈ 432 KiB), whatever `n` is.
+const BUCKETS: usize = 72 << (BUCKET_KEY_BITS - 12);
+
+/// Count and exact value range of the entries in one certificate bucket,
+/// the range as bit patterns: ordered like the values, as every entry is
+/// `≥ +0.0` whenever a bucket is read (the zero bucket's ends are `±0.0`
+/// either way).
+#[derive(Clone, Copy)]
+struct Bucket {
+    count: u32,
+    lo: u64,
+    hi: u64,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        count: 0,
+        lo: u64::MAX,
+        hi: 0,
+    };
+
+    fn min(&self) -> f64 {
+        f64::from_bits(self.lo)
+    }
+
+    fn max(&self) -> f64 {
+        f64::from_bits(self.hi)
+    }
+}
+
+/// `LB(w)` for `c = 1/w` (see [`WitnessScratch::check`]): the sum of the
+/// `w` smallest per-entry distances `dist(c, [min, max])`, taken outward
+/// from `c` over the value-ordered, disjoint `buckets` by two pointers; `+∞`
+/// if they hold fewer than `w` entries.
+fn lower_bound(buckets: &[Bucket], w: usize, c: f64) -> f64 {
+    let mut lo = buckets.partition_point(|b| b.max() < c);
+    let mut hi = lo;
+    let mut need = w as u64;
+    let mut lb = 0.0;
+    while need > 0 {
+        let below = lo
+            .checked_sub(1)
+            .map_or(f64::INFINITY, |i| c - buckets[i].max());
+        let above = buckets
+            .get(hi)
+            .map_or(f64::INFINITY, |b| (b.min() - c).max(0.0));
+        let (d, b) = if below < above {
+            lo -= 1;
+            (below, buckets[lo])
+        } else if hi < buckets.len() {
+            hi += 1;
+            (above, buckets[hi - 1])
+        } else {
+            return f64::INFINITY;
+        };
+        let take = need.min(u64::from(b.count));
+        lb += take as f64 * d;
+        need -= take;
+    }
+    lb
 }
 
 /// Order-preserving map of a non-NaN `f64` to `u64`: `a < b` iff
@@ -256,26 +360,19 @@ fn order_key(v: f64) -> u64 {
     }
 }
 
-/// Inverse of [`order_key`] (which is a bijection away from `−0.0`).
-fn key_value(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 {
-        key & !(1 << 63)
-    } else {
-        !key
-    })
-}
-
 impl WitnessScratch {
     /// Fresh buffers, pre-sized for `n`-node distributions.
     pub fn new(n: usize) -> Self {
         WitnessScratch {
             ids: Vec::with_capacity(n),
-            keys: Vec::new(),
             sp: SortedPrefix::empty(),
-            rest_ids: Vec::with_capacity(n),
+            rest_ids: Vec::new(),
             rest_sp: SortedPrefix::empty(),
             mark: Vec::new(),
+            buckets: Vec::new(),
             windows: 0,
+            certified: 0,
+            sorts: 0,
         }
     }
 
@@ -285,37 +382,36 @@ impl WitnessScratch {
     /// sort of ascending ids by value. Zero entries (`±0.0`) tie with each
     /// other, so they form one id-ascending run, which a single `O(n)` pass
     /// emits directly. Only the nonzero entries are sorted, as packed
-    /// `(order key, id)` pairs with `sort_unstable`; the ids are unique, so
-    /// that is the comparator's order exactly. Negative entries (not walk
-    /// masses, but allowed) land before the zero run.
+    /// `(order key << 32) | id` keys (`order_key`) with `sort_unstable`;
+    /// the ids are unique, so that is the comparator's order exactly.
+    /// Negative entries (not walk masses, but allowed) land before the zero
+    /// run. The keys live only inside this call, and are freed before the
+    /// prefix sums are filled from `p`, so the sort's 16 bytes per entry
+    /// never coexist with the scan's buffers.
     ///
     /// # Panics
     /// Panics with "NaN probability" if `p` holds a NaN.
     pub fn load(&mut self, p: &[f64]) {
+        self.sorts += 1;
         self.ids.clear();
-        self.keys.clear();
+        let mut keys = Vec::with_capacity(p.iter().filter(|&&v| v != 0.0).count());
         for (i, &v) in p.iter().enumerate() {
             if v == 0.0 {
                 self.ids.push(i as u32);
             } else {
                 assert!(!v.is_nan(), "NaN probability");
-                self.keys.push(u128::from(order_key(v)) << 32 | i as u128);
+                keys.push(u128::from(order_key(v)) << 32 | i as u128);
             }
         }
-        self.keys.sort_unstable();
+        keys.sort_unstable();
         let zeros = self.ids.len();
         let zero_key = u128::from(order_key(0.0)) << 32;
-        let neg = self.keys.partition_point(|&k| k < zero_key);
-        self.ids.extend(self.keys.iter().map(|&k| k as u32));
+        let neg = keys.partition_point(|&k| k < zero_key);
+        self.ids.extend(keys.iter().map(|&k| k as u32));
+        drop(keys);
         self.ids[..neg + zeros].rotate_left(zeros);
-        let val = |&k: &u128| key_value((k >> 32) as u64);
-        self.sp.refill_sorted(
-            self.keys[..neg]
-                .iter()
-                .map(val)
-                .chain(self.ids[neg..neg + zeros].iter().map(|&i| p[i as usize]))
-                .chain(self.keys[neg..].iter().map(val)),
-        );
+        self.sp
+            .refill_sorted(self.ids.iter().map(|&i| p[i as usize]));
     }
 
     /// Load a stored `(value, id)`-sorted snapshot (as produced by
@@ -333,17 +429,78 @@ impl WitnessScratch {
     }
 
     /// Node ids of the last loaded distribution, sorted by `(value, id)`.
+    /// Defined only after [`load`](Self::load) (or another loading entry
+    /// point): a [`check`](Self::check) the certificate answers loads
+    /// nothing and leaves the previous view in place.
     pub fn sorted_ids(&self) -> &[u32] {
         &self.ids
     }
 
     /// Values aligned with [`sorted_ids`](Self::sorted_ids)
-    /// (`sorted_vals()[k] == p[sorted_ids()[k]]`, ascending).
+    /// (`sorted_vals()[k] == p[sorted_ids()[k]]`, ascending), under the
+    /// same condition.
     pub fn sorted_vals(&self) -> &[f64] {
         self.sp.values()
     }
 
-    /// The existence check behind [`check_dist`], on borrowed buffers.
+    /// The existence check behind [`check_dist`], on borrowed buffers:
+    /// the certificate, then, unless it answers, [`load`](Self::load) and
+    /// the grid scan. A certified call returns `None` and leaves the sorted
+    /// view unloaded (whatever the last load left).
+    ///
+    /// **The certificate.** One pass buckets every nonzero entry by the
+    /// top 20 bits of its order key (the monotone `u64` image of a value
+    /// that [`load`](Self::load) sorts by), keeping each bucket's count and
+    /// exact min and max; the zeros form one more bucket at `0`. Keys are
+    /// monotone, so the buckets are disjoint value ranges in value order.
+    /// For a size `w` and `c = 1/w`, every entry `v` has
+    /// `|v − c| ≥ dist(c, [min, max])` of its bucket, so every `w`-set has
+    /// `Σ|v − c| ≥ LB(w)`, the sum of the `w` smallest such per-entry
+    /// distances (`+∞` if `w > n`: no such set, and no window to scan). A
+    /// set that must contain `s` is still a `w`-set, so the same bound
+    /// covers `src`. A size is certified when the computed
+    /// `LB(w) ≥ ε + M′`; the call is answered when every size is (stopping
+    /// at the first that is not). Any call that is not answered runs
+    /// exactly the uncertified code, so no witness can change.
+    ///
+    /// **The margin `M′`.** With `u = EPSILON/2`, `S = Σ|v|`, `C = w·c`
+    /// and `X` the smallest exact `Σ|v − c|` over `w`-sets:
+    /// * `LB(w)` is computed as one subtraction per bucket, one product
+    ///   `count·d` per bucket and a recursive sum of at most `m ≤ n`
+    ///   products, all nonnegative. Each computed distance is at most
+    ///   `(1+u)` times its bucket's exact one, fl is monotone, and per side
+    ///   of `c` the distances grow outward, so the two-pointer merge takes
+    ///   the `w` smallest computed distances; hence
+    ///   `LB̂ ≤ (1 + γ_{m+2})·X`. As `X ≤ S + C`, `X ≥ LB̂ − 1.02·(n+2)·u·(S+C)`.
+    /// * A window value the scan computes is within
+    ///   `E = 5.03·u·C + 3.01·u·S + 2.02·(2.03·n + 1.01)·u·S` of its exact
+    ///   value ([`SortedPrefix::best_window_below`]'s margin derivation).
+    ///   With `src`, the window is over the `n − 1` other entries and the
+    ///   scan tests `fl(own + sum)` with `own = fl(|p_s − c|)`, which loses
+    ///   at most `u·(S + C)` more before the final rounding; `ε` is a
+    ///   float, so `fl(x) ≥ ε` whenever the real `x ≥ ε`.
+    ///
+    /// So every computed value the scan could test is `≥ ε` once
+    /// `LB̂ ≥ ε + (5.2·n + 8.2)·u·(S + C)`. The certificate takes
+    /// `M′ = 8·(n + 2)·EPSILON·(S + C + |ε|)`, the form of the scan's own
+    /// margin `M`: that is `16·(n + 2)·u·(S + C + |ε|)`, over three times
+    /// the need, which also absorbs the rounding of `M′`, of `ε + M′`
+    /// (hence the `|ε|` term) and of `S`, taken as the bucket sum
+    /// `Σ count·max ≥ S`. `ε` need not be positive, and a NaN `ε`
+    /// certifies nothing.
+    ///
+    /// **Cost.** The table bins the fixed range `[2⁻⁶⁴, 2⁸)` (18 432 slots,
+    /// ≈ 432 KiB, independent of `n`); the positive entries below and above
+    /// it share an underflow and an overflow bucket, which keep their exact
+    /// min and max, so the bound stays valid. Each size costs
+    /// `O(log b + buckets touched)` for `b` nonempty buckets. When
+    /// `|sizes|·b > n` the certificate gives up (a fixed rule that keeps
+    /// [`SizeGrid::All`] from going quadratic), as it does on a negative,
+    /// infinite or NaN entry.
+    ///
+    /// # Panics
+    /// Panics with "NaN probability" if `p` holds a NaN, and if `src` is
+    /// `Some(s)` with `s ≥ p.len()`.
     pub fn check(
         &mut self,
         p: &[f64],
@@ -351,8 +508,79 @@ impl WitnessScratch {
         eps: f64,
         src: Option<usize>,
     ) -> Option<Witness> {
+        if let Some(s) = src {
+            assert!(
+                s < p.len(),
+                "require_source: source missing from distribution"
+            );
+        }
+        if self.certify(p, sizes, eps) {
+            self.certified += 1;
+            return None;
+        }
         self.load(p);
         self.scan(sizes, eps, src)
+    }
+
+    /// Whether the certificate of [`check`](Self::check) proves that no
+    /// size in `sizes` has a set below `eps` in `p`.
+    fn certify(&mut self, p: &[f64], sizes: &[usize], eps: f64) -> bool {
+        // For `v ≥ +0.0`, `order_key(v)` is `v.to_bits()` with the sign bit
+        // set, so the bits name the same buckets, in the same order. Any
+        // other bit pattern (a negative entry, `−∞` or a NaN) is above
+        // `+∞`'s and lands in the overflow bucket.
+        let shift = 64 - BUCKET_KEY_BITS;
+        let floor = (BUCKET_FLOOR.to_bits() >> shift) as usize;
+        let overflow = BUCKETS + 2;
+        self.buckets.clear();
+        self.buckets.resize(overflow + 1, Bucket::EMPTY);
+        let mut tally = |bits: u64| {
+            let binned = ((bits >> shift) as usize + 1)
+                .saturating_sub(floor)
+                .min(BUCKETS + 1)
+                + 1;
+            // Slot 0 holds the zeros of either sign, slot 1 the underflow;
+            // a branch here would mispredict on a half-filled support.
+            let b = &mut self.buckets[binned * usize::from(bits << 1 != 0)];
+            b.count += 1;
+            b.lo = b.lo.min(bits);
+            b.hi = b.hi.max(bits);
+        };
+        // A walk's early steps are nearly all zeros, so an all-zero chunk
+        // is counted whole (into slot 0, as `+0.0`).
+        let mut zeros = 0;
+        let mut chunks = p.chunks_exact(16);
+        for chunk in &mut chunks {
+            if chunk.iter().fold(0, |any, &v| any | v.to_bits() << 1) == 0 {
+                zeros += 16;
+            } else {
+                chunk.iter().for_each(|&v| tally(v.to_bits()));
+            }
+        }
+        chunks.remainder().iter().for_each(|&v| tally(v.to_bits()));
+        if zeros > 0 {
+            let b = &mut self.buckets[0];
+            b.count += zeros;
+            b.lo = 0; // `hi ≥ 0` already
+        }
+        if self.buckets[overflow].hi > f64::INFINITY.to_bits() {
+            return false;
+        }
+        self.buckets.retain(|b| b.count > 0);
+        let abs: f64 = self
+            .buckets
+            .iter()
+            .map(|b| f64::from(b.count) * b.max())
+            .sum();
+        if !abs.is_finite() || sizes.len().saturating_mul(self.buckets.len()) > p.len() {
+            return false;
+        }
+        let n = p.len() as f64;
+        sizes.iter().all(|&w| {
+            let c = 1.0 / w as f64;
+            let margin = 8.0 * (n + 2.0) * f64::EPSILON * (abs + w as f64 * c + eps.abs());
+            lower_bound(&self.buckets, w, c) >= eps + margin
+        })
     }
 
     /// [`check`](Self::check) on a stored sorted snapshot: `load_sorted` +
@@ -434,6 +662,18 @@ impl WitnessScratch {
     /// for the pruned scan.
     pub fn windows_scanned(&self) -> u64 {
         self.windows
+    }
+
+    /// [`check`](Self::check) calls the certificate answered without a
+    /// sort (cumulative) — a deterministic work counter.
+    pub fn certified_steps(&self) -> u64 {
+        self.certified
+    }
+
+    /// Support sorts run so far, one per [`load`](Self::load), including
+    /// those of uncertified [`check`](Self::check) calls (cumulative).
+    pub fn full_sorts(&self) -> u64 {
+        self.sorts
     }
 
     /// The grid scan over the currently loaded sorted view. Reads values
@@ -808,6 +1048,42 @@ mod tests {
     }
 
     #[test]
+    fn size_grid_tiny_eps_returns_every_size() {
+        // `1 + 1e-17 == 1`: the geometric loop would never end.
+        for eps in [1e-17, 1e-10] {
+            let o = LocalMixOptions { eps, ..opts(2.0) };
+            assert_eq!(size_grid(100, &o), (50..=100).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn size_grid_shortcut_matches_loop() {
+        // Wherever the loop is affordable, the `n·ε ≤ 1/2` shortcut and
+        // the loop agree; the ε values straddle the shortcut's boundary.
+        for n in [1, 2, 7, 100, 1000, 4096] {
+            for beta in [1.0, 2.0, 3.5, 8.0] {
+                let boundary = 0.5 / n as f64;
+                for eps in [
+                    1e-4,
+                    2.5e-4,
+                    boundary.next_down(),
+                    boundary,
+                    boundary.next_up(),
+                    1e-3,
+                ] {
+                    let o = LocalMixOptions { eps, ..opts(beta) };
+                    let r_min = ((n as f64 / beta).ceil() as usize).clamp(1, n);
+                    assert_eq!(
+                        size_grid(n, &o),
+                        geometric_sizes(r_min, n, eps),
+                        "n={n} β={beta} ε={eps}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn non_regular_rejected_by_window_oracle() {
         let g = gen::star(8);
         let err = local_mixing_time(&g, 0, &opts(2.0)).unwrap_err();
@@ -1037,10 +1313,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The pruned scan over the support-sparse sort returns exactly the
-        /// reference witness — size, `l1` bits and nodes — for both `src`
-        /// modes, both size grids, and thresholds `ε` placed exactly on,
-        /// and one rounding either side of, achieved window values.
+        /// The certificate, then the pruned scan over the support-sparse
+        /// sort, return exactly the reference witness — size, `l1` bits and
+        /// nodes — for both `src` modes, both size grids, and thresholds `ε`
+        /// placed exactly on, and one rounding either side of, achieved
+        /// window values; every call the certificate answers is one the
+        /// reference rejects.
         #[test]
         fn pruned_check_matches_full_reference(p in witness_case(), src in 0usize..36) {
             let n = p.len();
@@ -1062,7 +1340,13 @@ mod tests {
                         }
                         for eps in eps {
                             let want = digest(reference_check(&p, &sizes, eps, src));
+                            let certified = scratch.certified_steps();
                             let got = digest(scratch.check(&p, &sizes, eps, src));
+                            proptest::prop_assert!(
+                                scratch.certified_steps() == certified || want.is_none(),
+                                "{:?} β={} src={:?} ε={}: certified, but {:?}",
+                                grid, beta, src, eps, want
+                            );
                             proptest::prop_assert!(
                                 got == want,
                                 "{:?} β={} src={:?} ε={}: {:?} != {:?}",
@@ -1153,7 +1437,8 @@ mod tests {
             let want_vals: Vec<u64> = want.iter().map(|&i| p[i as usize].to_bits()).collect();
             assert_eq!(vals, want_vals, "{p:?}");
         }
-        for v in [
+        let ascending = [
+            f64::NEG_INFINITY,
             -1.5,
             -tiny,
             -0.0,
@@ -1161,10 +1446,11 @@ mod tests {
             tiny,
             1.0,
             f64::MAX,
-            f64::NEG_INFINITY,
             f64::INFINITY,
-        ] {
-            assert_eq!(key_value(order_key(v)).to_bits(), (v + 0.0).to_bits());
+        ];
+        for w in ascending.windows(2) {
+            let want = w[0].partial_cmp(&w[1]).unwrap();
+            assert_eq!(order_key(w[0]).cmp(&order_key(w[1])), want, "{w:?}");
         }
         assert_eq!(order_key(-0.0), order_key(0.0));
     }
@@ -1180,10 +1466,12 @@ mod tests {
         // One oracle query on a 2¹²-node expander, without and with the
         // `s ∈ S` constraint: the pruned scan evaluates a few hundred
         // windows where the unpruned scan of every inspected size evaluates
-        // Σ (n − r + 1) ≈ 1.45 M. The pinned counts gate the pruning's work.
+        // Σ (n − r + 1) ≈ 1.45 M, and the certificate answers some steps
+        // without a sort (those scan nothing). The pinned counts — windows,
+        // certified steps, support sorts — gate the work of both.
         let g = gen::random_regular(1 << 12, 8, 1);
         let n = g.n();
-        for (require_source, pinned) in [(false, 626), (true, 461)] {
+        for (require_source, pinned) in [(false, (315, 6, 7)), (true, (298, 6, 7))] {
             let o = LocalMixOptions {
                 require_source,
                 ..opts(8.0)
@@ -1216,14 +1504,104 @@ mod tests {
             );
             let scanned = scratch.windows_scanned();
             assert_eq!(
-                scanned, pinned,
-                "require_source={require_source}: pinned window count"
+                (scanned, scratch.certified_steps(), scratch.full_sorts()),
+                pinned,
+                "require_source={require_source}: pinned work counts"
+            );
+            assert_eq!(
+                scratch.certified_steps() + scratch.full_sorts(),
+                t as u64 + 1
             );
             assert!(
                 scanned * 100 <= unpruned,
                 "{scanned} windows scanned vs {unpruned} unpruned"
             );
         }
+    }
+
+    #[test]
+    fn certificate_margin_covers_near_tie() {
+        // 35 equal entries: one bucket with min = max, so the bucket bound
+        // is exact. For the single size 35 the certificate's computed LB
+        // exceeds the window value the scan computes from its prefix sums,
+        // so with ε just above the scan's value a witness exists that an
+        // unmargined certificate would deny. The same holds with `s ∈ S`.
+        let p = vec![8.0_f64 / 245.0; 35];
+        let bits = p[0].to_bits();
+        let lb = lower_bound(
+            &[Bucket {
+                count: 35,
+                lo: bits,
+                hi: bits,
+            }],
+            35,
+            1.0 / 35.0,
+        );
+        let sizes = [35];
+        for src in [None, Some(7)] {
+            let l1 = reference_check(&p, &sizes, 1.0, src).unwrap().l1;
+            let eps = l1.next_up();
+            assert!(
+                lb >= eps,
+                "src={src:?}: not a near tie, LB {lb} vs window {l1}"
+            );
+            let want = digest(reference_check(&p, &sizes, eps, src));
+            assert!(want.is_some());
+            let mut scratch = WitnessScratch::new(p.len());
+            assert_eq!(
+                digest(scratch.check(&p, &sizes, eps, src)),
+                want,
+                "src={src:?}"
+            );
+            assert_eq!(scratch.certified_steps(), 0);
+        }
+    }
+
+    #[test]
+    fn certificate_bounds_each_bucket_by_its_range() {
+        // 64 distinct entries in one bucket, all below (then all above)
+        // c = 1/64: each is at least c − max (min − c) from c, but in total
+        // ≈ 2.4e-4 (9.6e-4) closer than the far end of the bucket would
+        // claim. With ε just above the window's value a witness exists,
+        // which a bound from the wrong end would deny.
+        let c = 1.0 / 64.0;
+        let sizes = [64];
+        for scale in [0.5, 2.0] {
+            let p: Vec<f64> = (0..64)
+                .map(|i| scale * c * (1.0 + f64::from(i) / 65536.0))
+                .collect();
+            let mut scratch = WitnessScratch::new(p.len());
+            assert!(!scratch.certify(&p, &sizes, 2.0));
+            assert_eq!(scratch.buckets.len(), 1);
+            for src in [None, Some(7)] {
+                let eps = reference_check(&p, &sizes, 2.0, src).unwrap().l1.next_up();
+                let want = digest(reference_check(&p, &sizes, eps, src));
+                assert!(want.is_some());
+                assert_eq!(
+                    digest(scratch.check(&p, &sizes, eps, src)),
+                    want,
+                    "scale {scale} src={src:?}"
+                );
+            }
+            assert_eq!(scratch.certified_steps(), 0);
+        }
+    }
+
+    #[test]
+    fn certificate_counts_every_entry() {
+        // Zero runs long enough to be counted a chunk at a time, a `−0.0`
+        // inside a mixed chunk, and a tail shorter than a chunk.
+        let mut p = vec![0.0; 100];
+        p[40] = 0.25;
+        p[41] = -0.0;
+        p[70] = 0.5;
+        p[98] = 0.25;
+        let mut scratch = WitnessScratch::new(p.len());
+        assert!(!scratch.certify(&p, &[100], 2.0));
+        let counts: Vec<u32> = scratch.buckets.iter().map(|b| b.count).collect();
+        assert_eq!(counts, [97, 2, 1]);
+        assert_eq!(scratch.buckets[0].min(), 0.0);
+        assert_eq!(scratch.buckets[0].max(), 0.0);
     }
 
     #[test]
