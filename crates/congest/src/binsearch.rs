@@ -1,8 +1,8 @@
 //! §3.1's distributed binary search: the source learns the **sum of the `R`
 //! smallest per-node values** in `O(D log n)` rounds.
 //!
-//! The routine composes real protocol phases on the engine, paying actual
-//! rounds for every step, exactly as the paper describes:
+//! The routine composes tree phases, paying actual rounds for every step,
+//! exactly as the paper describes:
 //!
 //! 1. convergecast `min` and `max` of the values;
 //! 2. binary search on the value range: broadcast a candidate threshold
@@ -12,11 +12,13 @@
 //! 3. broadcast `T` and convergecast the qualified sum.
 //!
 //! All of a call's phases — `2·iterations + 5` of them — run on **one**
-//! network over the tree's own nodes and edges, reset between phases
-//! (fresh states and seeds, warm message arenas; see the [`crate::tree`]
-//! docs), and the tree protocol's idle skipping makes each round cost its
-//! active tree level rather than the tree size. Rounds, messages and bits
-//! are exactly those of a fresh full-graph network per phase.
+//! flat layout of the tree, built at the start of the call (see the
+//! [`crate::tree`] docs): a broadcast costs nothing to deliver, and a
+//! convergecast is one reverse-BFS pass over the members' values, which the
+//! call keeps in BFS order. Rounds, messages and bits are exactly those of
+//! the message-passing protocol on a fresh full-graph network per phase.
+//! Like every tree phase, the search is sequential: `engine` does not
+//! affect it, and `seed` only feeds the [`TieBreak::RandomJitter`] draws.
 //!
 //! **Tie handling.** The paper has every node add a small random jitter
 //! `r_u ∈ [1/n⁸, 1/n⁴]` so all values are distinct whp and the count can hit
@@ -29,7 +31,7 @@
 use crate::bfs::BfsTree;
 use crate::engine::{EngineKind, Metrics, RunError};
 use crate::message::id_bits;
-use crate::tree::{Op, TreeNetwork, TreeTopology, Wide};
+use crate::tree::{FlatTree, Op, Wide};
 use lmt_graph::Graph;
 use lmt_util::rng::fork;
 use rand::Rng;
@@ -60,41 +62,24 @@ pub struct RSmallestResult {
     pub iterations: u32,
 }
 
-/// Broadcast the candidate threshold `t`; `thresholds[i]` becomes what
-/// tree node `i` received.
-fn bcast_threshold(
-    net: &mut TreeNetwork<'_>,
+/// Convergecast over the tree members qualified by the last broadcast
+/// threshold `t` (`work[i] ≤ t`, `work` in BFS order): their count, or with
+/// `sum` the sum of their values, in `width`-bit fields.
+fn tally(
+    flat: &mut FlatTree,
+    work: &[u128],
     t: u128,
+    sum: bool,
     width: u32,
-    seed: u64,
-    thresholds: &mut Vec<Option<u128>>,
-    total: &mut Metrics,
-) -> Result<(), RunError> {
-    total.absorb(&net.broadcast(Wide::new(t, width), seed)?);
-    thresholds.clear();
-    thresholds.extend(net.values().map(|v| v.map(|w| w.value)));
-    Ok(())
-}
-
-/// Count tree nodes whose value is ≤ their received threshold; each
-/// count field is `width` bits.
-fn count_qualified(
-    net: &mut TreeNetwork<'_>,
-    values: &[u128],
-    thresholds: &[Option<u128>],
-    width: u32,
-    seed: u64,
     total: &mut Metrics,
 ) -> Result<u128, RunError> {
-    let (res, m) = net.convergecast(
-        Op::Sum,
-        |id| {
-            thresholds[id]
-                .is_some_and(|t| values[id] <= t)
-                .then(|| Wide::new(1, width))
-        },
-        seed,
-    )?;
+    let (res, m) = flat.convergecast(Op::Sum, |i| {
+        let v = work[i];
+        (v <= t).then_some(Wide {
+            value: if sum { v } else { 1 },
+            width,
+        })
+    })?;
     total.absorb(&m);
     Ok(res.map_or(0, |v| v.value))
 }
@@ -121,6 +106,8 @@ pub struct Outside {
 /// `value_width` its wire width. `tree` is the BFS tree rooted at the
 /// querying source; if it is depth-limited, pass the unreached nodes'
 /// common value via `outside` (their `values[…]` entries are ignored).
+/// The tree phases are sequential, so `engine` does not affect the run;
+/// `seed` drives only the jitter of [`TieBreak::RandomJitter`].
 #[allow(clippy::too_many_arguments)]
 pub fn sum_of_r_smallest(
     g: &Graph,
@@ -131,7 +118,7 @@ pub fn sum_of_r_smallest(
     tie: TieBreak,
     outside: Option<Outside>,
     budget_bits: u32,
-    engine: EngineKind,
+    _engine: EngineKind,
     seed: u64,
 ) -> Result<(RSmallestResult, Metrics), RunError> {
     assert_eq!(values.len(), g.n(), "one value per node required");
@@ -142,15 +129,13 @@ pub fn sum_of_r_smallest(
         g.n() as u128,
         "outside.count must cover exactly the unreached nodes"
     );
-    // Every phase below runs on one network over the tree itself, in the
-    // tree's local ids.
-    let topo = TreeTopology::new(tree);
-    let mut net = TreeNetwork::new(&topo, budget_bits, engine);
+    // Every phase below runs on one flat layout of the tree; `work[i]` is
+    // the working value of the member at BFS position `i`.
+    let mut flat = FlatTree::new(tree, budget_bits);
     let mut total = Metrics::default();
 
-    // Each tree node's working value. Jitter preprocessing: each node
-    // appends random low-order bits locally (node-local randomness;
-    // modelled by a per-node fork of the seed).
+    // Jitter preprocessing: each node appends random low-order bits locally
+    // (node-local randomness; modelled by a per-node fork of the seed).
     let (work_width, jbits) = match tie {
         TieBreak::ThresholdCorrection => (value_width, 0),
         TieBreak::RandomJitter { bits } => {
@@ -158,7 +143,7 @@ pub fn sum_of_r_smallest(
             (value_width + bits, bits)
         }
     };
-    let work_values: Vec<u128> = topo
+    let work: Vec<u128> = flat
         .members()
         .iter()
         .map(|&u| {
@@ -180,20 +165,13 @@ pub fn sum_of_r_smallest(
     });
 
     // Phase 1: min and max over tree nodes, folded with the outside value.
-    let (mn, m1) = net.convergecast(
-        Op::Min,
-        |id| Some(Wide::new(work_values[id], work_width)),
-        seed.wrapping_add(1),
-    )?;
-    total.absorb(&m1);
-    let (mx, m2) = net.convergecast(
-        Op::Max,
-        |id| Some(Wide::new(work_values[id], work_width)),
-        seed.wrapping_add(2),
-    )?;
-    total.absorb(&m2);
-    let mut lo = mn.expect("min over ≥ 1 tree nodes").value;
-    let mut hi = mx.expect("max over ≥ 1 tree nodes").value;
+    let mut extreme = |op| {
+        let (res, m) = flat.convergecast(op, |i| Some(Wide::new(work[i], work_width)))?;
+        total.absorb(&m);
+        Ok::<_, RunError>(res.expect("an extreme over ≥ 1 tree nodes").value)
+    };
+    let mut lo = extreme(Op::Min)?;
+    let mut hi = extreme(Op::Max)?;
     if let Some(o) = outside_work {
         if o.count > 0 {
             lo = lo.min(o.value);
@@ -203,27 +181,12 @@ pub fn sum_of_r_smallest(
 
     // Phase 2: smallest T with count(≤ T) ≥ R.
     let count_width = id_bits(g.n()) + 1;
-    let mut thresholds = Vec::with_capacity(work_values.len());
     let mut iterations = 0;
     while lo < hi {
         iterations += 1;
         let mid = lo + (hi - lo) / 2;
-        bcast_threshold(
-            &mut net,
-            mid,
-            work_width,
-            seed.wrapping_add(100 + iterations as u64),
-            &mut thresholds,
-            &mut total,
-        )?;
-        let mut count = count_qualified(
-            &mut net,
-            &work_values,
-            &thresholds,
-            count_width,
-            seed.wrapping_add(200 + iterations as u64),
-            &mut total,
-        )?;
+        total.absorb(&flat.broadcast(Wide::new(mid, work_width))?);
+        let mut count = tally(&mut flat, &work, mid, false, count_width, &mut total)?;
         if let Some(o) = outside_work {
             if o.value <= mid {
                 count += o.count;
@@ -238,34 +201,10 @@ pub fn sum_of_r_smallest(
     let t = lo;
 
     // Phase 3: qualified sum (and final count for the correction).
-    bcast_threshold(
-        &mut net,
-        t,
-        work_width,
-        seed.wrapping_add(300),
-        &mut thresholds,
-        &mut total,
-    )?;
-    let mut count = count_qualified(
-        &mut net,
-        &work_values,
-        &thresholds,
-        count_width,
-        seed.wrapping_add(301),
-        &mut total,
-    )?;
+    total.absorb(&flat.broadcast(Wide::new(t, work_width))?);
+    let mut count = tally(&mut flat, &work, t, false, count_width, &mut total)?;
     let sum_width = work_width + id_bits(g.n()) + 1;
-    let (qsum, m3) = net.convergecast(
-        Op::Sum,
-        |id| {
-            thresholds[id]
-                .is_some_and(|th| work_values[id] <= th)
-                .then(|| Wide::new(work_values[id], sum_width))
-        },
-        seed.wrapping_add(302),
-    )?;
-    total.absorb(&m3);
-    let mut qsum = qsum.map_or(0, |v| v.value);
+    let mut qsum = tally(&mut flat, &work, t, true, sum_width, &mut total)?;
     if let Some(o) = outside_work {
         if o.value <= t {
             count += o.count;

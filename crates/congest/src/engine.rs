@@ -4,22 +4,10 @@
 //! in round `t−1`, then performs local computation, then *sends* messages to
 //! neighbors. Round 0 is the `init` hook (local setup + initial sends).
 //!
-//! **Idle skipping.** A protocol that declares [`Protocol::SKIP_IDLE`]
-//! promises that a round with an empty inbox is a no-op for it: no sends, no
-//! RNG draws, no state change. The engine then steps, in every round `t ≥ 1`,
-//! only the nodes whose inbox is non-empty, in ascending id order (a
-//! sequential loop on either engine), and the router builds its sender list
-//! from those nodes instead of scanning all `n` outboxes — a round costs
-//! `O(active)`, not `O(n)`. Skipping a no-op is
-//! invisible, so the execution (states, metrics, RNG streams) is exactly
-//! the full-step one. Protocols that do not declare it (the default) are
-//! stepped in full every round.
-//!
-//! **Reuse.** [`Network::reset`] starts a new run on the same network —
-//! fresh node states and RNG streams, zeroed round, metrics and quiescence
-//! state — keeping the outbox and inbox arenas warm. Algorithms that chain
-//! many short phases on one graph (the §3.1 binary search) pay the arena
-//! allocation once instead of once per phase.
+//! Every node is stepped every round, so a protocol may rely on being
+//! called with an empty inbox (timers, polling, spontaneous sends). Tree
+//! phases, whose schedule is fixed by the tree, do not run here: the
+//! [`crate::tree`] module meters them with a flat kernel instead.
 //!
 //! Two interchangeable engines execute node steps: sequential and
 //! rayon-parallel (real threads — node ranges are chunked across a scoped
@@ -102,8 +90,7 @@ pub enum RunError {
     /// A node loaded more bits onto a directed edge in one round than the
     /// CONGEST budget allows. The reported edge is the lexicographically
     /// smallest violating `(from, to)` of the round; the network is not
-    /// usable afterwards (the round's delivery is abandoned) until
-    /// [`Network::reset`].
+    /// usable afterwards (the round's delivery is abandoned).
     BudgetExceeded {
         /// Sender node.
         from: usize,
@@ -152,15 +139,6 @@ impl std::error::Error for RunError {}
 pub trait Protocol: Send {
     /// The message type this protocol exchanges.
     type Msg: Payload;
-
-    /// Declares that [`Protocol::round`] with an **empty inbox** is a no-op:
-    /// it sends nothing, draws nothing from `ctx.rng` and leaves the state
-    /// unchanged. When `true`, the engine steps only the nodes that received
-    /// messages (see "Idle skipping" in the module docs); the execution is
-    /// identical either way. Defaults to `false`: every node is stepped every
-    /// round, which any protocol may rely on (timers, polling, spontaneous
-    /// sends).
-    const SKIP_IDLE: bool = false;
 
     /// Round-0 hook: local setup and initial sends.
     fn init(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
@@ -258,17 +236,6 @@ struct NodeSlot<P: Protocol> {
     rng: SmallRng,
 }
 
-/// Which node hook a pass runs, and on which nodes.
-#[derive(Clone, Copy)]
-enum Visit {
-    /// `init` on every node.
-    Init,
-    /// `round` on every node.
-    All,
-    /// `round` on the nodes with a non-empty inbox ([`Protocol::SKIP_IDLE`]).
-    Receivers,
-}
-
 /// A network of nodes running protocol `P` on a graph.
 ///
 /// # Example
@@ -354,7 +321,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             graph,
             nodes,
             outboxes,
-            router: Router::new(graph.n(), P::SKIP_IDLE),
+            router: Router::new(graph.n()),
             round: 0,
             metrics: Metrics::default(),
             budget_bits,
@@ -441,49 +408,20 @@ impl<'g, P: Protocol> Network<'g, P> {
                 .sum::<u64>()
     }
 
-    /// Start a new run on this network: node states from `make` and RNG
-    /// streams from `seed`, round and metrics zeroed, `init` pending —
-    /// indistinguishable from [`Network::new`] with the same graph, budget,
-    /// engine and arguments (and the same fault plan, if any). The outbox
-    /// and inbox arenas keep their allocations, so a network reused across
-    /// many short phases stops paying for them after the first
-    /// ([`Network::routing_alloc_events`] keeps counting across resets).
-    ///
-    /// Safe after an aborted run: messages left queued or half-delivered by
-    /// a [`RunError::BudgetExceeded`] are discarded.
-    pub fn reset(&mut self, mut make: impl FnMut(usize) -> P, seed: u64) {
-        let fan = RngFanout::new(seed);
-        for (id, slot) in self.nodes.iter_mut().enumerate() {
-            slot.proto = make(id);
-            slot.rng = fan.node(id);
-        }
-        // A budget abort leaves its round's outboxes unsent. Inboxes need
-        // nothing: the first route of the new run (after `init`, which
-        // reads none) clears whatever the last run delivered.
-        for outbox in &mut self.outboxes {
-            outbox.clear();
-        }
-        self.round = 0;
-        self.metrics = Metrics::default();
-        self.last_round_sends = 0;
-        self.initialized = false;
-    }
-
     /// Run the `init` hook (idempotent).
     fn ensure_init(&mut self) -> Result<(), RunError> {
         if self.initialized {
             return Ok(());
         }
         self.initialized = true;
-        self.visit(Visit::Init);
-        self.route(false)
+        self.visit(true);
+        self.route()
     }
 
-    /// Run one node hook — `init`, or `round` on the routed inbox — on every
-    /// node (`All`) or on the nodes whose inbox is non-empty (`Receivers`,
-    /// ascending), skipping crashed nodes; each outbox is normalized
-    /// in the same pass.
-    fn visit(&mut self, which: Visit) {
+    /// Run one node hook on every node — `init`, or `round` on the routed
+    /// inbox — skipping crashed nodes; each outbox is normalized in the
+    /// same pass.
+    fn visit(&mut self, init: bool) {
         let graph = self.graph;
         let round = self.round;
         let router = &self.router;
@@ -499,21 +437,22 @@ impl<'g, P: Protocol> Network<'g, P> {
                 outbox: &mut *outbox,
                 rng: &mut slot.rng,
             };
-            match which {
-                Visit::Init => slot.proto.init(&mut ctx),
-                _ => slot.proto.round(&mut ctx, router.inbox(id)),
+            if init {
+                slot.proto.init(&mut ctx);
+            } else {
+                slot.proto.round(&mut ctx, router.inbox(id));
             }
             outbox.normalize(graph.neighbors_raw(id));
         };
         let nodes = &mut self.nodes[..];
         let outboxes = &mut self.outboxes[..];
-        match (which, self.engine) {
-            (Visit::Init | Visit::All, EngineKind::Sequential) => {
+        match self.engine {
+            EngineKind::Sequential => {
                 for (id, (slot, outbox)) in nodes.iter_mut().zip(outboxes.iter_mut()).enumerate() {
                     visit_node(id, slot, outbox);
                 }
             }
-            (Visit::Init | Visit::All, EngineKind::Parallel) => {
+            EngineKind::Parallel => {
                 nodes
                     .par_iter_mut()
                     .with_min_len(PAR_MIN_CHUNK)
@@ -521,26 +460,18 @@ impl<'g, P: Protocol> Network<'g, P> {
                     .enumerate()
                     .for_each(|(id, (slot, outbox))| visit_node(id, slot, outbox));
             }
-            (Visit::Receivers, _) => {
-                for &id in router.receivers() {
-                    let id = id as usize;
-                    visit_node(id, &mut nodes[id], &mut outboxes[id]);
-                }
-            }
         }
     }
 
     /// Deliver all outboxes into the inbox arena, enforcing the per-edge
-    /// budget and updating metrics. `receivers_only` says only last
-    /// round's receivers were stepped, so only their outboxes can be
-    /// non-empty.
+    /// budget and updating metrics.
     ///
     /// The heavy lifting is the `routing` module's gather pass (destination-
     /// sharded on the thread pool for the parallel engine): senders are
     /// visited in ascending id order per destination, so each inbox ends up
     /// sorted by sender. On a budget violation the round's metrics are
     /// discarded and the smallest `(from, to)` offender is reported.
-    fn route(&mut self, receivers_only: bool) -> Result<(), RunError> {
+    fn route(&mut self) -> Result<(), RunError> {
         if let Some(plan) = &self.fault {
             self.metrics.crashed_nodes = plan.crashed_count_by(self.round);
         }
@@ -549,13 +480,9 @@ impl<'g, P: Protocol> Network<'g, P> {
             plan,
             round: self.round,
         });
-        let outcome = self.router.route(
-            &self.outboxes,
-            self.budget_bits,
-            parallel,
-            fault,
-            receivers_only,
-        );
+        let outcome = self
+            .router
+            .route(&self.outboxes, self.budget_bits, parallel, fault);
         if let Some((from, to, bits)) = outcome.violation {
             return Err(RunError::BudgetExceeded {
                 from: from as usize,
@@ -593,12 +520,8 @@ impl<'g, P: Protocol> Network<'g, P> {
         self.ensure_init()?;
         self.round += 1;
         self.metrics.rounds += 1;
-        self.visit(if P::SKIP_IDLE {
-            Visit::Receivers
-        } else {
-            Visit::All
-        });
-        self.route(P::SKIP_IDLE)?;
+        self.visit(false);
+        self.route()?;
         Ok(self.last_round_sends)
     }
 
@@ -1069,116 +992,6 @@ mod tests {
                 warmed,
                 "message plane allocated during steady-state rounds ({kind:?})"
             );
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Reuse (`Network::reset`) and idle skipping (`Protocol::SKIP_IDLE`).
-    // -----------------------------------------------------------------
-
-    /// A rumor mill that draws randomness: every fifth node starts a rumor
-    /// at a random neighbor; a node that hears rumors folds them into its
-    /// digest and passes one fresh random rumor to a random neighbor. A
-    /// round with an empty inbox is a no-op, so the same logic may declare
-    /// `SKIP_IDLE` or not. With `blast`, node 0 overloads an edge in `init`.
-    struct Rumor<const SKIP: bool> {
-        digest: u64,
-        heard: u32,
-        blast: bool,
-    }
-
-    impl<const SKIP: bool> Rumor<SKIP> {
-        fn pass_on(ctx: &mut Ctx<'_, Counter>) {
-            use rand::Rng;
-            let i = ctx.rng.gen_range(0..ctx.degree());
-            let value = ctx.rng.gen_range(0..1u64 << 16);
-            let to = ctx.neighbor(i);
-            ctx.send(to, Counter::new(value, 16));
-        }
-    }
-
-    impl<const SKIP: bool> Protocol for Rumor<SKIP> {
-        type Msg = Counter;
-        const SKIP_IDLE: bool = SKIP;
-
-        fn init(&mut self, ctx: &mut Ctx<'_, Counter>) {
-            if self.blast && ctx.id() == 0 {
-                let to = ctx.neighbor(0);
-                for _ in 0..3 {
-                    ctx.send(to, Counter::new(1, 40));
-                }
-            }
-            if ctx.id().is_multiple_of(5) {
-                Self::pass_on(ctx);
-            }
-        }
-
-        fn round(&mut self, ctx: &mut Ctx<'_, Counter>, inbox: &[(u32, Counter)]) {
-            for &(from, m) in inbox {
-                self.digest = self.digest.rotate_left(7) ^ (ctx.round() << 40 | (from as u64) << 20 | m.value);
-                self.heard += 1;
-            }
-            if !inbox.is_empty() {
-                Self::pass_on(ctx);
-            }
-        }
-    }
-
-    fn rumor<const SKIP: bool>(blast: bool) -> impl Fn(usize) -> Rumor<SKIP> {
-        move |_| Rumor {
-            digest: 0,
-            heard: 0,
-            blast,
-        }
-    }
-
-    /// Node states and metrics after `rounds` more rounds.
-    fn rumor_digest<const SKIP: bool>(
-        net: &mut Network<'_, Rumor<SKIP>>,
-        rounds: u64,
-    ) -> (Vec<(u64, u32)>, Metrics) {
-        net.run_rounds(rounds).unwrap();
-        let states = net.node_states().map(|s| (s.digest, s.heard)).collect();
-        (states, net.metrics())
-    }
-
-    fn check_reset_replays_fresh<const SKIP: bool>(g: &lmt_graph::Graph, kind: EngineKind) {
-        let fresh = rumor_digest(&mut Network::new(g, rumor::<SKIP>(false), 64, kind, 9), 12);
-        assert!(fresh.1.messages > 0);
-        let mut net = Network::new(g, rumor::<SKIP>(false), 64, kind, 1);
-        // Stop with messages in flight, then start over.
-        net.run_rounds(5).unwrap();
-        assert!(net.last_round_sends > 0);
-        net.reset(rumor(false), 9);
-        assert_eq!(rumor_digest(&mut net, 12), fresh, "reset mid-run ({kind:?}, skip {SKIP})");
-        // Abort with queued and half-delivered traffic, then start over.
-        net.reset(rumor(true), 3);
-        assert!(matches!(net.step(), Err(RunError::BudgetExceeded { .. })));
-        net.reset(rumor(false), 9);
-        assert_eq!(rumor_digest(&mut net, 12), fresh, "reset after abort ({kind:?}, skip {SKIP})");
-    }
-
-    #[test]
-    fn reset_replays_a_fresh_network() {
-        let g = gen::random_regular(300, 4, 6);
-        for kind in [EngineKind::Sequential, EngineKind::Parallel] {
-            check_reset_replays_fresh::<false>(&g, kind);
-            check_reset_replays_fresh::<true>(&g, kind);
-        }
-    }
-
-    #[test]
-    fn skip_idle_matches_full_step_with_rng() {
-        // 600 nodes: over two of the router's 256-destination shards, so
-        // the parallel engine collects receivers across shards.
-        let g = gen::random_regular(600, 4, 8);
-        let full = rumor_digest(
-            &mut Network::new(&g, rumor::<false>(false), 64, EngineKind::Sequential, 4),
-            15,
-        );
-        for kind in [EngineKind::Sequential, EngineKind::Parallel] {
-            let skip = rumor_digest(&mut Network::new(&g, rumor::<true>(false), 64, kind, 4), 15);
-            assert_eq!(skip, full, "{kind:?}");
         }
     }
 

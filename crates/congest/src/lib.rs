@@ -38,20 +38,23 @@
 //! rounds are allocation-free
 //! ([`engine::Network::routing_alloc_events`] observes this). Outboxes
 //! track destination-sortedness incrementally — broadcast-only and
-//! single-destination protocols (flooding, BFS, tree phases) skip sorting
-//! entirely — and unsorted outboxes are restored by a stable
-//! degree-indexed counting pass rather than a comparison sort. Delivery
-//! gathers each destination's inbox from its in-neighbors' message runs
-//! and is sharded by destination across the thread pool for the parallel
-//! engine.
+//! single-destination protocols (flooding, BFS) skip sorting entirely —
+//! and unsorted outboxes are restored by a stable degree-indexed counting
+//! pass rather than a comparison sort. Delivery gathers each
+//! destination's inbox from its in-neighbors' message runs and is sharded
+//! by destination across the thread pool for the parallel engine.
 //!
-//! Networks are reusable: [`engine::Network::reset`] starts a new run with
-//! fresh states and seeds on the warm arenas. A protocol may also declare
-//! [`engine::Protocol::SKIP_IDLE`] — a round with an empty inbox is a no-op
-//! for it — and the engine then steps only the nodes that received
-//! messages, so a sparse round costs `O(active)` instead of `O(n)`. Both
-//! are exact: the execution is the one a fresh, fully stepped network
-//! produces.
+//! ## Tree phases without the engine
+//!
+//! Broadcast and convergecast over a BFS tree — the bulk of Algorithm 2's
+//! rounds — do not run on a [`engine::Network`]. Their schedule is fixed by
+//! the tree's shape, so [`tree`] executes them with a flat, sequential
+//! kernel: one layout of the tree in BFS order per call, a broadcast that
+//! delivers directly, and a convergecast that is one reverse-BFS pass. It
+//! charges the rounds, messages, bits and budget errors the message-passing
+//! protocol produces on a full-graph network, which a differential test
+//! runs as its oracle. The `engine` argument of the tree entry points does
+//! not affect them.
 //!
 //! ## Faults
 //!
@@ -71,16 +74,15 @@
 //!   accounting) and field-width helpers.
 //! * [`engine`] — [`engine::Network`]: sequential and rayon-parallel round
 //!   executors with identical (deterministic, seeded) semantics, budget
-//!   enforcement, quiescence detection, reuse, idle skipping and
-//!   [`engine::Metrics`].
+//!   enforcement, quiescence detection and [`engine::Metrics`].
 //! * `routing` (crate-private) — the arena-backed message plane described
 //!   above.
 //! * [`bfs`] — distributed BFS-tree construction by flooding (depth-limited,
 //!   as used in step 3 of Algorithm 2), verified against the centralized
 //!   traversal.
 //! * [`tree`] — broadcast and convergecast (sum / min / max / count) over a
-//!   constructed BFS tree — the upcast/downcast toolkit of §3.1, one
-//!   idle-skipping protocol whose phases can share a network.
+//!   constructed BFS tree — the upcast/downcast toolkit of §3.1, as the
+//!   flat kernel described above.
 //! * [`binsearch`] — the paper's distributed binary search that lets the
 //!   source learn **the sum of the `R` smallest node values** in
 //!   `O(D log n)` rounds (§3.1), with both the paper's random tie-breaking

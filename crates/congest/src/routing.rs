@@ -18,8 +18,8 @@
 //!   whether pushes arrived in ascending destination order.
 //!   `Ctx::send_all` emits neighbors in ascending adjacency order, so
 //!   protocols that only broadcast or send to a single destination per
-//!   round — BFS beacons, Algorithm 1 flooding, convergecast — never pay
-//!   any sorting at all.
+//!   round — BFS beacons, Algorithm 1 flooding — never pay any sorting at
+//!   all.
 //! * **Cheap normalization instead of a per-round comparison sort** — an
 //!   outbox that *did* interleave destinations is restored by an in-place
 //!   stable insertion sort when small, or by a stable counting pass keyed
@@ -40,13 +40,6 @@
 //!   lexicographic-min violation), so Parallel ≡ Sequential stays
 //!   bit-for-bit at every pool width (`tests/determinism.rs`).
 //!
-//! * **Receiver tracking for idle skipping** — for a protocol that declares
-//!   `Protocol::SKIP_IDLE`, each route also records the destinations it
-//!   filled, ascending (a bit-set pass over the shards' touched lists). The
-//!   engine steps only those nodes next round, so only their outboxes can
-//!   fill, and the next route filters its sender list from them instead of
-//!   scanning all `n` outboxes.
-//!
 //! Budget enforcement rides along with delivery: within a sorted outbox,
 //! one destination's run *is* the per-directed-edge message group whose
 //! bits the model meters. On a violation the round's metrics are discarded
@@ -55,7 +48,6 @@
 
 use crate::fault::FaultPlan;
 use crate::message::Payload;
-use lmt_util::bitset::BitSet;
 use rayon::prelude::*;
 
 /// Minimum destinations per routing shard: below this, shard bookkeeping
@@ -460,12 +452,6 @@ pub(crate) struct Router<M> {
     active: Vec<u32>,
     active_cap: usize,
     active_grew: u64,
-    /// Marks of the destinations the last gather filled, for networks that
-    /// record [`Router::receivers`] (idle skipping); `None` otherwise.
-    marks: Option<BitSet>,
-    /// Destinations whose inbox the last route filled, ascending.
-    receivers: Vec<u32>,
-    receivers_cap: usize,
     /// Growth events of shards dropped by a re-layout, so
     /// [`Router::alloc_events`] stays monotone across pool-width changes.
     retired_grew: u64,
@@ -474,17 +460,13 @@ pub(crate) struct Router<M> {
 }
 
 impl<M: Payload> Router<M> {
-    /// A router for `n` destinations; `track_receivers` makes every route
-    /// also record the ascending list of destinations it delivered to.
-    pub(crate) fn new(n: usize, track_receivers: bool) -> Self {
+    /// A router for `n` destinations.
+    pub(crate) fn new(n: usize) -> Self {
         Router {
             shards: Vec::new(),
             active: Vec::new(),
             active_cap: 0,
             active_grew: 0,
-            marks: track_receivers.then(|| BitSet::new(n)),
-            receivers: Vec::new(),
-            receivers_cap: 0,
             retired_grew: 0,
             n,
         }
@@ -517,17 +499,13 @@ impl<M: Payload> Router<M> {
     /// Deliver all outboxes: normalization is assumed done (the engine
     /// folds it into the node-step pass), so this is the pure gather.
     /// `parallel` selects destination-sharded execution on the thread
-    /// pool; the result is identical either way. `receivers_only` promises
-    /// that only the last route's [`Router::receivers`] can have non-empty
-    /// outboxes, so the sender list is filtered from them instead of from
-    /// all `n` outboxes.
+    /// pool; the result is identical either way.
     pub(crate) fn route(
         &mut self,
         outboxes: &[Outbox<M>],
         budget_bits: u32,
         parallel: bool,
         fault: Option<FaultCtx<'_>>,
-        receivers_only: bool,
     ) -> RouteOutcome {
         let want = if parallel {
             rayon::current_num_threads().min((self.n / ROUTE_MIN_SHARD).max(1))
@@ -536,30 +514,19 @@ impl<M: Payload> Router<M> {
         };
         self.configure(want);
         self.active.clear();
-        if receivers_only {
-            debug_assert!(self.marks.is_some(), "receivers were not tracked");
-            let receivers = &self.receivers;
-            self.active.extend(
-                receivers
-                    .iter()
-                    .copied()
-                    .filter(|&u| outboxes[u as usize].len() > 0),
-            );
-        } else {
-            self.active.extend(
-                outboxes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ob)| ob.len() > 0)
-                    .map(|(u, _)| u as u32),
-            );
-        }
+        self.active.extend(
+            outboxes
+                .iter()
+                .enumerate()
+                .filter(|(_, ob)| ob.len() > 0)
+                .map(|(u, _)| u as u32),
+        );
         if self.active.capacity() != self.active_cap {
             self.active_cap = self.active.capacity();
             self.active_grew += 1;
         }
         let active = &self.active;
-        let outcome = if self.shards.len() == 1 {
+        if self.shards.len() == 1 {
             self.shards[0].gather(outboxes, active, budget_bits, fault)
         } else {
             // merge is commutative and associative, so the shim's
@@ -571,30 +538,7 @@ impl<M: Payload> Router<M> {
                     a.merge(b);
                     a
                 })
-        };
-        if let Some(marks) = &mut self.marks {
-            // Touched lists are in delivery order; a bit-set pass sorts them
-            // in O(touched + n/64), measurably faster than sorting them.
-            for s in &self.shards {
-                for &local in &s.touched {
-                    marks.insert(s.start + local as usize);
-                }
-            }
-            self.receivers.clear();
-            self.receivers.extend(marks.iter().map(|v| v as u32));
-            marks.clear();
-            if self.receivers.capacity() != self.receivers_cap {
-                self.receivers_cap = self.receivers.capacity();
-                self.active_grew += 1;
-            }
         }
-        outcome
-    }
-
-    /// Destinations whose inbox the last `route` filled, ascending (empty
-    /// unless the router tracks receivers).
-    pub(crate) fn receivers(&self) -> &[u32] {
-        &self.receivers
     }
 
     /// Inbox slice of destination `v`, from the last `route` call.
@@ -707,7 +651,7 @@ mod tests {
 
     #[test]
     fn shard_layout_is_balanced_and_contiguous() {
-        let mut r: Router<Ping> = Router::new(10, false);
+        let mut r: Router<Ping> = Router::new(10);
         r.configure(3);
         let spans: Vec<(usize, usize)> = r.shards.iter().map(|s| (s.start, s.end)).collect();
         assert_eq!(spans, vec![(0, 3), (3, 6), (6, 10)]);
@@ -725,7 +669,7 @@ mod tests {
         obs[0].push(1, Ping);
         let active: Vec<u32> = vec![0, 2]; // node 1 is silent
         for shards in [1usize, 2, 3] {
-            let mut r: Router<Ping> = Router::new(3, false);
+            let mut r: Router<Ping> = Router::new(3);
             r.configure(shards);
             let mut total = RouteOutcome::default();
             for s in &mut r.shards {
@@ -745,9 +689,9 @@ mod tests {
         obs[0].push(1, Ping);
         obs[2].push(1, Ping);
         let plan = FaultPlan::new(3, 0).with_crash(1, 1);
-        let mut r: Router<Ping> = Router::new(3, false);
+        let mut r: Router<Ping> = Router::new(3);
         // Sends of round 0 are read in round 1, when node 1 is already dead.
-        let out = r.route(&obs, 8, false, Some(FaultCtx { plan: &plan, round: 0 }), false);
+        let out = r.route(&obs, 8, false, Some(FaultCtx { plan: &plan, round: 0 }));
         assert_eq!(out.delivered, 0);
         assert_eq!(out.dropped, 3);
         assert_eq!(out.bits, 0, "no delivered payload");
@@ -777,7 +721,7 @@ mod tests {
         let mut reference: Option<(u64, u64, Vec<u32>)> = None;
         for shards in [1usize, 2, 5] {
             let obs = mk();
-            let mut r: Router<Ping> = Router::new(n, false);
+            let mut r: Router<Ping> = Router::new(n);
             r.configure(shards);
             let mut total = RouteOutcome::default();
             let fc = FaultCtx { plan: &plan, round: 3 };

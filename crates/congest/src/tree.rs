@@ -7,27 +7,36 @@
 //!   before forwarding; `depth` rounds. The aggregation is an [`Op`] —
 //!   min, max or sum (a count is a sum of ones).
 //!
-//! Both are phases of one protocol over [`Wide`] values, so a single
-//! network can run any number of phases back to back: the crate's binary
-//! search keeps one per call and resets it between phases
-//! (`Network::reset`: fresh states, warm message arenas). That network
-//! spans the tree's own nodes and edges, not the whole graph — phases never
-//! leave the tree, so the execution is the same one, minus `O(n)` per phase
-//! for nodes that would stay silent. The protocol declares
-//! [`Protocol::SKIP_IDLE`] — after `init` a node acts only on a message
-//! from its parent or a child — so a round costs what the active tree level
-//! costs. [`broadcast`], [`convergecast`] and [`convergecast_partial`] are
-//! one-shot wrappers over the same code.
+//! A tree phase sends along tree edges only, one message per edge, and its
+//! schedule is fixed by the tree's shape, so it is not simulated message by
+//! message. A crate-private flat kernel lays the tree out once per call in
+//! BFS order (the root first, each node's children contiguous, a parent
+//! position per node). A broadcast then delivers the value to every member
+//! directly, and a convergecast is one pass over the members in reverse BFS
+//! order that folds each subtree's partial into its parent's slot. The
+//! kernel charges exactly what the message-passing protocol costs on a
+//! full-graph [`crate::engine::Network`] (a differential test runs that
+//! protocol as the oracle):
 //!
-//! Every phase is real message passing on the engine, so every invocation
-//! pays its true CONGEST round/bit cost: a value going down costs `width`
-//! bits, a partial going up `1 + width` (a tag bit), and an empty-subtree
-//! report 1 bit.
+//! * a phase takes `d` rounds for a tree of depth `d` (0 for a lone root)
+//!   and sends `m − 1` messages for `m` members, one per tree edge;
+//! * a value going down costs `width` bits, a partial going up `1 + width`
+//!   (a tag bit), and an empty-subtree report 1 bit ([`TreeMsg`]);
+//! * a convergecast node sends in the round equal to the height of its
+//!   subtree (leaves report at once, in round 0);
+//! * a message over the budget fails the phase with
+//!   [`RunError::BudgetExceeded`] naming the first violating round and, in
+//!   it, the smallest `(from, to)` pair, in full-graph ids.
+//!
+//! Tree phases are sequential and draw no randomness: the `engine` and
+//! `seed` arguments of [`broadcast`], [`convergecast`] and
+//! [`convergecast_partial`] do not affect them, so Parallel ≡ Sequential
+//! holds trivially. Results do not depend on the pass order because
+//! [`Op::combine`] does not.
 
 use crate::bfs::BfsTree;
-use crate::engine::{Ctx, EngineKind, Metrics, Network, Protocol, RunError};
+use crate::engine::{EngineKind, Metrics, RunError};
 use crate::message::Payload;
-use lmt_graph::{Graph, GraphBuilder};
 
 /// A `u128` value with an explicit wire width, the workhorse payload for
 /// fixed-point numerators (`c·log₂ n` bits).
@@ -71,12 +80,19 @@ pub enum Op {
 
 impl Op {
     /// Combine two partial aggregates. A sum keeps the wider field; min and
-    /// max keep the winning operand (`a` on ties).
+    /// max keep the winning operand, and on a tie in value the wider field.
+    /// The result does not depend on the operands' order or grouping, so
+    /// a convergecast may fold its partials in any order.
     ///
     /// # Panics
     /// Panics if a sum overflows `u128`.
     pub fn combine(self, a: Wide, b: Wide) -> Wide {
+        let width = a.width.max(b.width);
         match self {
+            Op::Min | Op::Max if a.value == b.value => Wide {
+                value: a.value,
+                width,
+            },
             Op::Min if b.value < a.value => b,
             Op::Max if b.value > a.value => b,
             Op::Min | Op::Max => a,
@@ -85,13 +101,14 @@ impl Op {
                     .value
                     .checked_add(b.value)
                     .expect("convergecast sum overflow"),
-                width: a.width.max(b.width),
+                width,
             },
         }
     }
 }
 
-/// A tree-phase message.
+/// A tree-phase message: the wire format whose bits the flat kernel
+/// charges for each tree edge a phase crosses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreeMsg {
     /// A broadcast value on its way down: `width` bits.
@@ -113,285 +130,219 @@ impl Payload for TreeMsg {
     }
 }
 
-/// One node's state in one tree phase. The node's place in the tree is
-/// read from `tree` at `ctx.id()` when it acts, so building the state for a
-/// phase touches nothing but the node's own slot.
-struct TreeNode<'t> {
-    tree: &'t BfsTree,
-    /// `None` in a broadcast, the aggregation in a convergecast.
-    op: Option<Op>,
-    /// Forwarded (broadcast) or reported upward (convergecast).
-    done: bool,
-    /// Convergecast: children heard from.
-    received: u32,
-    /// Broadcast: the value held (the root's from the start, others' once
-    /// received). Convergecast: the node's own contribution (`None` =
-    /// contributes nothing); at the root, the aggregate once `done`.
-    value: Option<Wide>,
-    /// Convergecast: the children's partials combined so far.
-    acc: Option<Wide>,
-}
-
-impl<'t> TreeNode<'t> {
-    fn new(tree: &'t BfsTree, op: Option<Op>, value: Option<Wide>) -> Self {
-        TreeNode {
-            tree,
-            op,
-            done: false,
-            received: 0,
-            value,
-            acc: None,
-        }
-    }
-
-    /// Broadcast: hand `v` to every child.
-    fn forward(&mut self, ctx: &mut Ctx<'_, TreeMsg>, v: Wide) {
-        for &c in &self.tree.children[ctx.id()] {
-            ctx.send(c as usize, TreeMsg::Down(v));
-        }
-        self.done = true;
-    }
-
-    /// Convergecast: once every child has reported, combine and report
-    /// upward — even with nothing to contribute, so the parent's child
-    /// counter advances. The root keeps the total instead. (A node outside
-    /// the tree has neither children nor a parent: it finishes silently.)
-    fn try_flush(&mut self, ctx: &mut Ctx<'_, TreeMsg>, op: Op) {
-        let (id, tree) = (ctx.id(), self.tree);
-        if self.done || (self.received as usize) < tree.children[id].len() {
-            return;
-        }
-        self.done = true;
-        let total = match (self.acc, self.value) {
-            (Some(a), Some(o)) => Some(op.combine(a, o)),
-            (a, o) => a.or(o),
-        };
-        if id == tree.src {
-            self.value = total;
-        } else if let Some(p) = tree.parent[id] {
-            ctx.send(p as usize, total.map_or(TreeMsg::Empty, TreeMsg::Up));
-        }
-    }
-}
-
-impl Protocol for TreeNode<'_> {
-    type Msg = TreeMsg;
-
-    /// After `init` a node acts only on a message from its parent or a
-    /// child, and never draws randomness.
-    const SKIP_IDLE: bool = true;
-
-    fn init(&mut self, ctx: &mut Ctx<'_, TreeMsg>) {
-        match self.op {
-            None => {
-                if let (true, Some(v)) = (ctx.id() == self.tree.src, self.value) {
-                    self.forward(ctx, v);
-                }
-            }
-            Some(op) => self.try_flush(ctx, op),
-        }
-    }
-
-    fn round(&mut self, ctx: &mut Ctx<'_, TreeMsg>, inbox: &[(u32, TreeMsg)]) {
-        match self.op {
-            None => {
-                if self.done {
-                    return;
-                }
-                let parent = self.tree.parent[ctx.id()];
-                for &(from, msg) in inbox {
-                    if let (true, TreeMsg::Down(v)) = (Some(from) == parent, msg) {
-                        self.value = Some(v);
-                        self.forward(ctx, v);
-                        return;
-                    }
-                }
-            }
-            Some(op) => {
-                for &(_, msg) in inbox {
-                    if let TreeMsg::Up(v) = msg {
-                        self.acc = Some(self.acc.map_or(v, |a| op.combine(a, v)));
-                    }
-                    self.received += 1;
-                }
-                self.try_flush(ctx, op);
-            }
-        }
-    }
-}
-
-/// A BFS tree as a network of its own: the members, relabeled `0..m` in
-/// ascending id order, joined by the tree edges only.
-///
-/// A tree phase sends along tree edges only, and non-members never act, so
-/// a network over the whole graph pays `O(n)` per phase — node states, RNG
-/// streams, `init` — for nodes that stay silent (most of them, for the
-/// small trees of Algorithm 2's first lengths). On the tree itself the
-/// execution is the same one: the relabeling keeps id order, so every inbox
-/// keeps its sender order, and every message crosses the same edge with the
-/// same bits. Rounds, messages and bits are identical.
-pub(crate) struct TreeTopology {
-    graph: Graph,
-    /// The tree in local ids; it spans `graph`.
-    tree: BfsTree,
-    /// `members[local]`: the node's id in the full graph, ascending.
-    members: Vec<u32>,
-}
-
-impl TreeTopology {
-    pub(crate) fn new(tree: &BfsTree) -> Self {
-        let n = tree.dist.len();
-        let members: Vec<u32> = (0..n as u32)
-            .filter(|&u| tree.dist[u as usize].is_some())
-            .collect();
-        let mut local = vec![u32::MAX; n];
-        for (i, &u) in members.iter().enumerate() {
-            local[u as usize] = i as u32;
-        }
-        let mut b = GraphBuilder::new(members.len());
-        b.extend_edges(members.iter().enumerate().filter_map(|(i, &u)| {
-            tree.parent[u as usize].map(|p| (i, local[p as usize] as usize))
-        }));
-        let of = |u: u32| u as usize;
-        let local_tree = BfsTree {
-            src: local[tree.src] as usize,
-            dist: members.iter().map(|&u| tree.dist[of(u)]).collect(),
-            parent: members
-                .iter()
-                .map(|&u| tree.parent[of(u)].map(|p| local[of(p)]))
-                .collect(),
-            children: members
-                .iter()
-                .map(|&u| tree.children[of(u)].iter().map(|&c| local[of(c)]).collect())
-                .collect(),
-            depth: tree.depth,
-        };
-        TreeTopology {
-            graph: b.build(),
-            tree: local_tree,
-            members,
-        }
-    }
-
-    /// Each local node's id in the full graph.
-    pub(crate) fn members(&self) -> &[u32] {
-        &self.members
-    }
-
-    /// `err` with its node ids mapped back to the full graph's (the
-    /// relabeling keeps id order, so the reported edge is still the
-    /// lexicographically smallest offender).
-    fn graph_ids(&self, err: RunError) -> RunError {
-        match err {
-            RunError::BudgetExceeded {
-                from,
-                to,
-                round,
-                bits,
-                budget,
-            } => RunError::BudgetExceeded {
-                from: self.members[from] as usize,
-                to: self.members[to] as usize,
-                round,
-                bits,
-                budget,
-            },
-            other => other,
-        }
-    }
-}
-
-/// One network on a [`TreeTopology`] that runs any number of broadcast and
-/// convergecast phases: the first phase builds it, every later one resets
-/// it (`Network::reset`), so the message arenas stay warm and only one
-/// network is alive at a time. Node ids are the topology's local ids,
-/// except in a returned [`RunError`], which names full-graph nodes.
-pub(crate) struct TreeNetwork<'a> {
-    topo: &'a TreeTopology,
+/// A BFS tree laid out for flat tree phases: the members in BFS order
+/// (the root first, each node's children contiguous and in the tree's
+/// child order), each with its parent's position, plus the partials of the
+/// current convergecast. Built once per call and dropped with it.
+pub(crate) struct FlatTree {
+    /// `order[i]`: the full-graph id of the member at BFS position `i`.
+    order: Vec<u32>,
+    /// `parent[i]`: the BFS position of member `i`'s parent (`0` for the
+    /// root itself).
+    parent: Vec<u32>,
+    /// Rounds per phase: the depth of the deepest member.
+    depth: u32,
     budget_bits: u32,
-    engine: EngineKind,
-    net: Option<Network<'a, TreeNode<'a>>>,
+    /// Convergecast partial of each member's subtree so far: the value,
+    /// its field width, and whether anything in the subtree contributed
+    /// (sized by the first convergecast).
+    part: Vec<u128>,
+    width: Vec<u32>,
+    full: Vec<bool>,
 }
 
-impl<'a> TreeNetwork<'a> {
-    pub(crate) fn new(topo: &'a TreeTopology, budget_bits: u32, engine: EngineKind) -> Self {
-        TreeNetwork {
-            topo,
+impl FlatTree {
+    pub(crate) fn new(tree: &BfsTree, budget_bits: u32) -> Self {
+        let mut order = vec![tree.src as u32];
+        let mut parent = vec![0u32];
+        let (mut level, mut depth) = (0..1, 0);
+        loop {
+            for i in level.clone() {
+                let kids = &tree.children[order[i] as usize];
+                order.extend_from_slice(kids);
+                parent.resize(order.len(), i as u32);
+            }
+            level = level.end..order.len();
+            if level.is_empty() {
+                break;
+            }
+            depth += 1;
+        }
+        debug_assert_eq!(order.len(), tree.reached(), "children must span the tree");
+        FlatTree {
+            order,
+            parent,
+            depth,
             budget_bits,
-            engine,
-            net: None,
+            part: Vec::new(),
+            width: Vec::new(),
+            full: Vec::new(),
         }
     }
 
-    /// The network set up for a new phase — exactly as a fresh
-    /// `Network::new(graph, make, budget, engine, seed)` would be.
-    fn phase(
-        &mut self,
-        make: impl FnMut(usize) -> TreeNode<'a>,
-        seed: u64,
-    ) -> &mut Network<'a, TreeNode<'a>> {
-        let net = match self.net.take() {
-            Some(mut net) => {
-                net.reset(make, seed);
-                net
-            }
-            None => Network::new(&self.topo.graph, make, self.budget_bits, self.engine, seed),
+    /// Full-graph ids of the members, in BFS order (the positions the
+    /// convergecast's `contribute` receives).
+    pub(crate) fn members(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Messages of one phase: one per tree edge.
+    fn sends(&self) -> u64 {
+        self.order.len() as u64 - 1
+    }
+
+    /// The budget error of a `bits`-bit message in `round` over the tree
+    /// edge between BFS positions `from` and `to`.
+    fn exceeded(&self, from: usize, to: usize, round: u64, bits: u32) -> RunError {
+        RunError::BudgetExceeded {
+            from: self.order[from] as usize,
+            to: self.order[to] as usize,
+            round,
+            bits,
+            budget: self.budget_bits,
+        }
+    }
+
+    /// Broadcast `value` from the root: every member receives it. The root
+    /// sends in round 0 and a node at depth `k` forwards in round `k`.
+    pub(crate) fn broadcast(&self, value: Wide) -> Result<Metrics, RunError> {
+        let bits = TreeMsg::Down(value).encoded_bits();
+        let sends = self.sends();
+        if sends > 0 && bits > self.budget_bits {
+            // Round 0 has one sender, the root; its children are positions
+            // 1.. up to the first node whose parent is not the root.
+            let first = (1..self.order.len())
+                .take_while(|&i| self.parent[i] == 0)
+                .min_by_key(|&i| self.order[i])
+                .expect("a root with members below has a child");
+            return Err(self.exceeded(0, first, 0, bits));
+        }
+        Ok(Metrics {
+            rounds: self.depth as u64,
+            messages: sends,
+            bits: sends * bits as u64,
+            max_edge_bits: if sends > 0 { bits } else { 0 },
+            ..Metrics::default()
+        })
+    }
+
+    /// Position `i`'s partial (meaningful where `full[i]`).
+    #[inline]
+    fn partial(&self, i: usize) -> Wide {
+        Wide {
+            value: self.part[i],
+            width: self.width[i],
+        }
+    }
+
+    /// Fold `w` into position `i`'s partial.
+    #[inline]
+    fn fold(&mut self, i: usize, op: Op, w: Wide) {
+        let w = if self.full[i] {
+            op.combine(self.partial(i), w)
+        } else {
+            self.full[i] = true;
+            w
         };
-        self.net.insert(net)
+        self.part[i] = w.value;
+        self.width[i] = w.width;
     }
 
-    /// Broadcast `value` from the root; [`TreeNetwork::values`] then holds
-    /// what every node received.
-    pub(crate) fn broadcast(&mut self, value: Wide, seed: u64) -> Result<Metrics, RunError> {
-        let topo = self.topo;
-        let tree = &topo.tree;
-        let net = self.phase(
-            |id| TreeNode::new(tree, None, (id == tree.src).then_some(value)),
-            seed,
-        );
-        net.run_until_quiet(tree.depth as u64 + 2)
-            .map_err(|e| topo.graph_ids(e))?;
-        Ok(net.metrics())
+    /// Bits of position `i`'s report to its parent, once its subtree is
+    /// folded.
+    #[inline]
+    fn report_bits(&self, i: usize) -> u32 {
+        if self.full[i] {
+            TreeMsg::Up(self.partial(i)).encoded_bits()
+        } else {
+            TreeMsg::Empty.encoded_bits()
+        }
     }
 
-    /// Each node's value after the last broadcast.
-    pub(crate) fn values(&self) -> impl Iterator<Item = Option<Wide>> + use<'_, 'a> {
-        self.net.iter().flat_map(|net| net.node_states().map(|s| s.value))
-    }
-
-    /// Aggregate the nodes' contributions with `op` at the root; see
-    /// [`convergecast_partial`].
+    /// Aggregate with `op` at the root; `contribute(i)` is the contribution
+    /// of the member at BFS position `i` (called once per member, in
+    /// reverse BFS order). Every child sits at a later position than its
+    /// parent, so one reverse pass completes each subtree before its root
+    /// reports.
+    ///
+    /// # Panics
+    /// Panics if a sum overflows `u128`.
     pub(crate) fn convergecast(
         &mut self,
         op: Op,
         mut contribute: impl FnMut(usize) -> Option<Wide>,
-        seed: u64,
     ) -> Result<(Option<Wide>, Metrics), RunError> {
-        let topo = self.topo;
-        let tree = &topo.tree;
-        let net = self.phase(|id| TreeNode::new(tree, Some(op), contribute(id)), seed);
-        net.run_until(|n| n.node(tree.src).done, tree.depth as u64 + 2)
-            .map_err(|e| topo.graph_ids(e))?;
-        Ok((net.node(tree.src).value, net.metrics()))
+        let m = self.order.len();
+        self.full.clear();
+        self.full.resize(m, false);
+        self.part.resize(m, 0);
+        self.width.resize(m, 0);
+        let (mut bits, mut max_edge_bits) = (0u64, 0u32);
+        for i in (1..m).rev() {
+            if let Some(own) = contribute(i) {
+                self.fold(i, op, own);
+            }
+            let b = self.report_bits(i);
+            bits += b as u64;
+            max_edge_bits = max_edge_bits.max(b);
+            if self.full[i] {
+                self.fold(self.parent[i] as usize, op, self.partial(i));
+            }
+        }
+        if let Some(own) = contribute(0) {
+            self.fold(0, op, own);
+        }
+        if max_edge_bits > self.budget_bits {
+            return Err(self.first_violation());
+        }
+        let root = self.full[0].then(|| self.partial(0));
+        let metrics = Metrics {
+            rounds: self.depth as u64,
+            messages: self.sends(),
+            bits,
+            max_edge_bits,
+            ..Metrics::default()
+        };
+        Ok((root, metrics))
+    }
+
+    /// The error of the last convergecast, which overran the budget: a node
+    /// reports in the round equal to its subtree's height, so the first
+    /// violating round is the smallest such height, and within it the
+    /// smallest sender id names the edge (each sender has one edge up).
+    fn first_violation(&self) -> RunError {
+        let m = self.order.len();
+        let mut height = vec![0u32; m];
+        for i in (1..m).rev() {
+            let p = self.parent[i] as usize;
+            height[p] = height[p].max(height[i] + 1);
+        }
+        let i = (1..m)
+            .filter(|&i| self.report_bits(i) > self.budget_bits)
+            .min_by_key(|&i| (height[i], self.order[i]))
+            .expect("a report over the budget");
+        let p = self.parent[i] as usize;
+        self.exceeded(i, p, height[i] as u64, self.report_bits(i))
     }
 }
 
 /// Broadcast `value` from the tree root to every tree node.
 ///
 /// Returns each node's received value (`None` outside the tree) and metrics.
+/// Tree phases are sequential and deterministic: `engine` and `seed` do not
+/// affect them (see the module docs).
 pub fn broadcast(
     tree: &BfsTree,
     value: Wide,
     budget_bits: u32,
-    engine: EngineKind,
-    seed: u64,
+    _engine: EngineKind,
+    _seed: u64,
 ) -> Result<(Vec<Option<Wide>>, Metrics), RunError> {
-    let topo = TreeTopology::new(tree);
-    let mut net = TreeNetwork::new(&topo, budget_bits, engine);
-    let m = net.broadcast(value, seed)?;
+    let flat = FlatTree::new(tree, budget_bits);
+    let m = flat.broadcast(value)?;
     let mut values = vec![None; tree.dist.len()];
-    for (&u, v) in topo.members().iter().zip(net.values()) {
-        values[u as usize] = v;
+    for &u in flat.members() {
+        values[u as usize] = Some(value);
     }
     Ok((values, m))
 }
@@ -399,9 +350,11 @@ pub fn broadcast(
 /// Convergecast: aggregate per-node contributions up to the root with `op`.
 ///
 /// `contribute(id)` yields node `id`'s value (or `None` to contribute
-/// nothing — how threshold-filtered counts/sums are expressed). Subtlety: a
-/// node still *forwards* children's partials even when it contributes
-/// nothing itself.
+/// nothing — how threshold-filtered counts/sums are expressed); it is
+/// called once per tree node, in no particular order. Subtlety: a node
+/// still *forwards* children's partials even when it contributes nothing
+/// itself. `engine` and `seed` do not affect tree phases (see the module
+/// docs).
 ///
 /// Returns the root's aggregate (`None` if nobody contributed) and metrics.
 ///
@@ -435,24 +388,22 @@ pub fn convergecast_partial(
     op: Op,
     mut contribute: impl FnMut(usize) -> Option<Wide>,
     budget_bits: u32,
-    engine: EngineKind,
-    seed: u64,
+    _engine: EngineKind,
+    _seed: u64,
 ) -> Result<(Option<Wide>, Metrics), RunError> {
-    let topo = TreeTopology::new(tree);
-    let members = topo.members();
-    TreeNetwork::new(&topo, budget_bits, engine).convergecast(
-        op,
-        |i| contribute(members[i] as usize),
-        seed,
-    )
+    let mut flat = FlatTree::new(tree, budget_bits);
+    let members = flat.members().to_vec();
+    flat.convergecast(op, |i| contribute(members[i] as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::build_bfs_tree;
+    use crate::engine::{Ctx, Network, Protocol};
     use crate::message::olog_budget;
-    use lmt_graph::gen;
+    use lmt_graph::{gen, Graph};
+    use proptest::prelude::*;
 
     fn tree_for(g: &Graph, src: usize) -> BfsTree {
         build_bfs_tree(g, src, u32::MAX, olog_budget(g.n(), 8), EngineKind::Sequential, 1)
@@ -612,70 +563,115 @@ mod tests {
         assert_eq!(m.max_edge_bits, 13);
     }
 
-    /// The tree protocol stepped in full every round: forwards everything
-    /// to [`TreeNode`] but keeps the default `SKIP_IDLE = false`.
-    struct Eager<'t>(TreeNode<'t>);
+    /// One node's state in one message-passing tree phase: the protocol the
+    /// flat kernel replaces, kept as its differential oracle. The node's
+    /// place in the tree is read from `tree` at `ctx.id()` when it acts.
+    struct TreeNode<'t> {
+        tree: &'t BfsTree,
+        /// `None` in a broadcast, the aggregation in a convergecast.
+        op: Option<Op>,
+        /// Forwarded (broadcast) or reported upward (convergecast).
+        done: bool,
+        /// Convergecast: children heard from.
+        received: u32,
+        /// Broadcast: the value held (the root's from the start, others'
+        /// once received). Convergecast: the node's own contribution
+        /// (`None` = contributes nothing); at the root, the aggregate once
+        /// `done`.
+        value: Option<Wide>,
+        /// Convergecast: the children's partials combined so far.
+        acc: Option<Wide>,
+    }
 
-    impl Protocol for Eager<'_> {
+    impl<'t> TreeNode<'t> {
+        fn new(tree: &'t BfsTree, op: Option<Op>, value: Option<Wide>) -> Self {
+            TreeNode {
+                tree,
+                op,
+                done: false,
+                received: 0,
+                value,
+                acc: None,
+            }
+        }
+
+        /// Broadcast: hand `v` to every child.
+        fn forward(&mut self, ctx: &mut Ctx<'_, TreeMsg>, v: Wide) {
+            for &c in &self.tree.children[ctx.id()] {
+                ctx.send(c as usize, TreeMsg::Down(v));
+            }
+            self.done = true;
+        }
+
+        /// Convergecast: once every child has reported, combine and report
+        /// upward — even with nothing to contribute, so the parent's child
+        /// counter advances. The root keeps the total instead. (A node
+        /// outside the tree has neither children nor a parent: it finishes
+        /// silently.)
+        fn try_flush(&mut self, ctx: &mut Ctx<'_, TreeMsg>, op: Op) {
+            let (id, tree) = (ctx.id(), self.tree);
+            if self.done || (self.received as usize) < tree.children[id].len() {
+                return;
+            }
+            self.done = true;
+            let total = match (self.acc, self.value) {
+                (Some(a), Some(o)) => Some(op.combine(a, o)),
+                (a, o) => a.or(o),
+            };
+            if id == tree.src {
+                self.value = total;
+            } else if let Some(p) = tree.parent[id] {
+                ctx.send(p as usize, total.map_or(TreeMsg::Empty, TreeMsg::Up));
+            }
+        }
+    }
+
+    impl Protocol for TreeNode<'_> {
         type Msg = TreeMsg;
 
         fn init(&mut self, ctx: &mut Ctx<'_, TreeMsg>) {
-            self.0.init(ctx);
+            match self.op {
+                None => {
+                    if let (true, Some(v)) = (ctx.id() == self.tree.src, self.value) {
+                        self.forward(ctx, v);
+                    }
+                }
+                Some(op) => self.try_flush(ctx, op),
+            }
         }
 
         fn round(&mut self, ctx: &mut Ctx<'_, TreeMsg>, inbox: &[(u32, TreeMsg)]) {
-            self.0.round(ctx, inbox);
-        }
-    }
-
-    /// Everything a tree node holds, for comparing whole executions.
-    fn digest<'a, 't: 'a>(nodes: impl Iterator<Item = &'a TreeNode<'t>>) -> Vec<String> {
-        nodes
-            .map(|s| format!("{:?} {:?} {} {}", s.value, s.acc, s.received, s.done))
-            .collect()
-    }
-
-    /// Node states for one phase of [`skip_idle_matches_full_step`]: a
-    /// broadcast (`op = None`) or a convergecast with filtered contributions.
-    fn phase_node<'t>(tree: &'t BfsTree, op: Option<Op>) -> impl Fn(usize) -> TreeNode<'t> + 't {
-        move |id| {
-            let value = match op {
-                None => (id == tree.src).then(|| Wide::new(5, 8)),
-                Some(_) => (id % 3 != 1).then(|| Wide::new((id * 7919 % 1000) as u128, 24)),
-            };
-            TreeNode::new(tree, op, value)
-        }
-    }
-
-    #[test]
-    fn skip_idle_matches_full_step() {
-        // A spanning tree and a depth-limited one (non-members never wake).
-        let g = gen::random_regular(300, 6, 3);
-        let limited =
-            build_bfs_tree(&g, 4, 2, olog_budget(300, 8), EngineKind::Sequential, 1).unwrap().0;
-        let budget = olog_budget(g.n(), 16);
-        for tree in &[tree_for(&g, 4), limited] {
-            for kind in [EngineKind::Sequential, EngineKind::Parallel] {
-                for (seed, op) in [(11, None), (12, Some(Op::Min)), (13, Some(Op::Max)), (14, Some(Op::Sum))] {
-                    let make = phase_node(tree, op);
-                    let mut skip = Network::new(&g, &make, budget, kind, seed);
-                    let mut full = Network::new(&g, |id| Eager(make(id)), budget, kind, seed);
-                    skip.run_rounds(tree.depth as u64 + 3).unwrap();
-                    full.run_rounds(tree.depth as u64 + 3).unwrap();
-                    assert_eq!(skip.metrics(), full.metrics(), "{kind:?} seed {seed}");
-                    assert_eq!(
-                        digest(skip.node_states()),
-                        digest(full.node_states().map(|e| &e.0)),
-                        "{kind:?} seed {seed}"
-                    );
+            match self.op {
+                None => {
+                    if self.done {
+                        return;
+                    }
+                    let parent = self.tree.parent[ctx.id()];
+                    for &(from, msg) in inbox {
+                        if let (true, TreeMsg::Down(v)) = (Some(from) == parent, msg) {
+                            self.value = Some(v);
+                            self.forward(ctx, v);
+                            return;
+                        }
+                    }
+                }
+                Some(op) => {
+                    for &(_, msg) in inbox {
+                        if let TreeMsg::Up(v) = msg {
+                            self.acc = Some(self.acc.map_or(v, |a| op.combine(a, v)));
+                        }
+                        self.received += 1;
+                    }
+                    self.try_flush(ctx, op);
                 }
             }
         }
     }
 
     /// The reference execution of one phase: a fresh network on the whole
-    /// graph, stopped by the same rule as [`TreeNetwork`]'s phases. Returns
-    /// every node's final value and the metrics, or the run's error.
+    /// graph running [`TreeNode`], stopped at quiescence (broadcast) or when
+    /// the root is done (convergecast). Returns every node's final value
+    /// and the metrics, or the run's error.
     fn fresh_full_graph_phase(
         g: &Graph,
         tree: &BfsTree,
@@ -695,38 +691,70 @@ mod tests {
         Ok((net.node_states().map(|s| s.value).collect(), net.metrics()))
     }
 
+    /// One flat phase in the oracle's terms: every node's value (the
+    /// broadcast value at members, the aggregate at the root) and the
+    /// metrics.
+    fn flat_phase(
+        flat: &mut FlatTree,
+        n: usize,
+        src: usize,
+        op: Option<Op>,
+        mut value: impl FnMut(usize) -> Option<Wide>,
+    ) -> Result<(Vec<Option<Wide>>, Metrics), RunError> {
+        let members = flat.members().to_vec();
+        let mut vals = vec![None; n];
+        let m = match op {
+            None => {
+                let v = value(src).expect("the root holds the broadcast value");
+                let m = flat.broadcast(v)?;
+                for &u in &members {
+                    vals[u as usize] = Some(v);
+                }
+                m
+            }
+            Some(op) => {
+                let (root, m) = flat.convergecast(op, |i| value(members[i] as usize))?;
+                vals[src] = root;
+                m
+            }
+        };
+        Ok((vals, m))
+    }
+
     #[test]
     fn tree_network_replays_fresh_full_graph_phases() {
-        // Spanning and depth-limited trees; the reused network on the tree
-        // alone must match a fresh full-graph network phase by phase.
+        // Spanning and depth-limited trees; one flat layout serving many
+        // phases must match a fresh full-graph network phase by phase.
         let g = gen::random_regular(120, 4, 2);
         let budget = olog_budget(120, 16);
         for (limit, kind) in [(u32::MAX, EngineKind::Sequential), (3, EngineKind::Parallel)] {
             let tree = build_bfs_tree(&g, 7, limit, budget, EngineKind::Sequential, 1)
                 .unwrap()
                 .0;
-            let topo = TreeTopology::new(&tree);
-            let members = topo.members();
-            let own = |id: usize| (!id.is_multiple_of(4)).then(|| Wide::new(id as u128 * 3, 16));
-            let mut net = TreeNetwork::new(&topo, budget, kind);
+            let mut flat = FlatTree::new(&tree, budget);
             for round in 0..3u64 {
+                let own = |id: usize| {
+                    (!(id as u64 + round).is_multiple_of(4)).then(|| Wide::new(id as u128 * 3, 16))
+                };
                 for op in [Op::Min, Op::Max, Op::Sum] {
                     let seed = round * 10 + op as u64;
-                    let got = net.convergecast(op, |i| own(members[i] as usize), seed).unwrap();
-                    let (vals, m) =
-                        fresh_full_graph_phase(&g, &tree, Some(op), own, budget, kind, seed).unwrap();
-                    assert_eq!(got, (vals[tree.src], m), "{op:?} round {round}");
+                    let got = flat_phase(&mut flat, g.n(), tree.src, Some(op), own).unwrap();
+                    let want = fresh_full_graph_phase(&g, &tree, Some(op), own, budget, kind, seed)
+                        .unwrap();
+                    assert_eq!(got.0[tree.src], want.0[tree.src], "{op:?} round {round}");
+                    assert_eq!(got.1, want.1, "{op:?} round {round}");
                 }
                 let value = Wide::new(round as u128 + 40, 8);
-                let m = net.broadcast(value, round).unwrap();
                 let root = |id| (id == tree.src).then_some(value);
-                let (vals, fresh_m) =
+                let got = flat_phase(&mut flat, g.n(), tree.src, None, root).unwrap();
+                let want =
                     fresh_full_graph_phase(&g, &tree, None, root, budget, kind, round).unwrap();
-                assert_eq!(m, fresh_m, "broadcast round {round}");
-                let got: Vec<_> = net.values().collect();
-                let want: Vec<_> = members.iter().map(|&u| vals[u as usize]).collect();
                 assert_eq!(got, want, "broadcast round {round}");
-                assert!(vals.iter().enumerate().all(|(u, v)| v.is_some() == tree.dist[u].is_some()));
+                assert!(want
+                    .0
+                    .iter()
+                    .enumerate()
+                    .all(|(u, v)| v.is_some() == tree.dist[u].is_some()));
             }
         }
     }
@@ -734,48 +762,97 @@ mod tests {
     #[test]
     fn budget_error_names_full_graph_nodes() {
         // Partial sums too wide for the budget on a depth-limited tree: the
-        // tree network must report the edge and round a fresh full-graph
-        // network reports, in full-graph ids, and still serve phases after.
+        // kernel must report the edge and round a fresh full-graph network
+        // reports, in full-graph ids, and still serve phases after.
         let g = gen::random_regular(120, 4, 2);
         let tree = build_bfs_tree(&g, 7, 3, olog_budget(120, 16), EngineKind::Sequential, 1)
             .unwrap()
             .0;
-        let topo = TreeTopology::new(&tree);
-        let members = topo.members();
         let wide = |id: usize| Some(Wide::new(id as u128, 24));
         let root = |id| (id == tree.src).then(|| Wide::new(9, 8));
         for kind in [EngineKind::Sequential, EngineKind::Parallel] {
-            let mut net = TreeNetwork::new(&topo, 20, kind);
-            let got = net.convergecast(Op::Sum, |i| wide(members[i] as usize), 1).unwrap_err();
+            let mut flat = FlatTree::new(&tree, 20);
+            let got = flat_phase(&mut flat, g.n(), tree.src, Some(Op::Sum), wide).unwrap_err();
             let want =
                 fresh_full_graph_phase(&g, &tree, Some(Op::Sum), wide, 20, kind, 1).unwrap_err();
             assert!(matches!(got, RunError::BudgetExceeded { .. }), "{got:?}");
             assert_eq!(got, want, "{kind:?}");
-            let after = net.broadcast(Wide::new(9, 8), 2).unwrap();
+            let after = flat_phase(&mut flat, g.n(), tree.src, None, root).unwrap();
             let fresh = fresh_full_graph_phase(&g, &tree, None, root, 20, kind, 2).unwrap();
-            assert_eq!(after, fresh.1, "{kind:?}");
+            assert_eq!(after, fresh, "{kind:?}");
         }
     }
 
     #[test]
-    fn warm_phases_do_not_allocate() {
-        let g = gen::random_regular(400, 6, 5);
-        let tree = tree_for(&g, 0);
-        for kind in [EngineKind::Sequential, EngineKind::Parallel] {
-            let topo = TreeTopology::new(&tree);
-            let mut net = TreeNetwork::new(&topo, olog_budget(400, 16), kind);
-            let phase = |net: &mut TreeNetwork<'_>, i: u64| {
-                net.broadcast(Wide::new(i as u128, 8), i).unwrap();
-                net.convergecast(Op::Sum, |id| Some(Wide::new(id as u128, 20)), i)
-                    .unwrap();
-            };
-            phase(&mut net, 0); // warm-up: arenas size themselves
-            let events = |net: &TreeNetwork<'_>| net.net.as_ref().unwrap().routing_alloc_events();
-            let warmed = events(&net);
-            for i in 1..20 {
-                phase(&mut net, i);
+    fn min_max_ties_keep_the_wider_field() {
+        let (a, b) = (Wide::new(5, 8), Wide::new(5, 12));
+        for op in [Op::Min, Op::Max] {
+            assert_eq!(op.combine(a, b), b, "{op:?}");
+            assert_eq!(op.combine(b, a), b, "{op:?}");
+        }
+        assert_eq!(Op::Min.combine(Wide::new(3, 4), b), Wide::new(3, 4));
+        assert_eq!(Op::Max.combine(Wide::new(3, 4), b), b);
+    }
+
+    fn connected_graph() -> impl Strategy<Value = Graph> {
+        (1usize..40, 0.05f64..0.6, any::<u64>())
+            .prop_map(|(n, p, seed)| gen::erdos_renyi(n, p, seed))
+            .prop_filter("connected", lmt_graph::props::is_connected)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat kernel ≡ a fresh full-graph network running
+        /// [`TreeNode`], phase by phase on one layout: the values, every
+        /// [`Metrics`] field and the [`RunError`], compared exactly. Trees
+        /// are spanning or depth-limited (limit 0 leaves the root alone);
+        /// in each convergecast a different quarter of the nodes
+        /// contributes; field widths vary per node (20–22 bits, messages of
+        /// 21–23 bits up and 22 bits down) against budgets of 21–24 bits, so
+        /// each phase meets a budget one below, equal to and one above its
+        /// widest message.
+        #[test]
+        fn flat_phases_match_full_graph_network(
+            g in connected_graph(),
+            src_raw in any::<usize>(),
+            limit_raw in 0u32..6,
+            budget in 21u32..25,
+            parallel in any::<bool>(),
+            vals in proptest::collection::vec((0u32..4, 0u64..1 << 20, 0u32..3), 40),
+        ) {
+            let n = g.n();
+            let src = src_raw % n;
+            let limit = if limit_raw == 5 { u32::MAX } else { limit_raw };
+            let tree = build_bfs_tree(&g, src, limit, olog_budget(n, 8), EngineKind::Sequential, 1)
+                .unwrap()
+                .0;
+            let kind = if parallel { EngineKind::Parallel } else { EngineKind::Sequential };
+            let root = |id| (id == src).then(|| Wide::new(7, 22));
+            let mut flat = FlatTree::new(&tree, budget);
+            for (seed, op) in [None, Some(Op::Min), Some(Op::Max), Some(Op::Sum)].into_iter().enumerate() {
+                let own = |id: usize| {
+                    let (pick, value, extra) = vals[id];
+                    (pick as usize == seed).then(|| Wide::new(value as u128, 20 + extra))
+                };
+                let (got, want) = match op {
+                    None => (
+                        flat_phase(&mut flat, n, src, None, root),
+                        fresh_full_graph_phase(&g, &tree, None, root, budget, kind, seed as u64),
+                    ),
+                    Some(_) => {
+                        let got = flat_phase(&mut flat, n, src, op, own);
+                        let want = fresh_full_graph_phase(&g, &tree, op, own, budget, kind, seed as u64)
+                            .map(|(vals, m)| {
+                                let mut root_only = vec![None; n];
+                                root_only[src] = vals[src];
+                                (root_only, m)
+                            });
+                        (got, want)
+                    }
+                };
+                prop_assert!(got == want, "{op:?}: flat {got:?} != network {want:?}");
             }
-            assert_eq!(events(&net), warmed, "tree phases allocated after warm-up ({kind:?})");
         }
     }
 }

@@ -11,8 +11,11 @@
 //!    if the sum is `< 4ε` (the relaxed test of Lemma 3 that covers the
 //!    off-grid set sizes).
 //!
-//! Every phase is executed as real message passing on the CONGEST engine, so
-//! the returned metrics are the algorithm's true round/bit cost.
+//! BFS and the flood run as message passing on the CONGEST engine; the
+//! binary search's tree phases run on `lmt_congest::tree`'s flat kernel,
+//! which charges exactly the rounds, messages and bits of the
+//! message-passing protocol. The returned metrics are the algorithm's true
+//! round/bit cost.
 //!
 //! Nodes beyond distance `ℓ` hold `p̃_ℓ = 0` and sit outside the depth-
 //! limited tree; their common difference value `1/R` is folded in
@@ -24,7 +27,7 @@ use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::binsearch::{sum_of_r_smallest, Outside};
 use lmt_congest::flood::FloodGraph;
 use lmt_congest::{Metrics, RunError};
-use lmt_graph::Graph;
+use lmt_graph::{Graph, WalkGraph};
 use lmt_util::fixed::FixedScale;
 
 /// Diagnostics for one doubling iteration.
@@ -66,6 +69,16 @@ pub enum AlgoError {
     /// No acceptance up to the configured maximum length (e.g. a simple walk
     /// on a bipartite graph, or `max_len` set too low).
     NotMixedWithin(u64),
+    /// The source is not a node of the graph.
+    SourceOutOfRange {
+        /// The requested source.
+        src: usize,
+        /// Nodes in the graph.
+        n: usize,
+    },
+    /// The source has no edge to walk (degree 0), so Algorithm 1's flood
+    /// could never move its mass.
+    IsolatedSource(usize),
 }
 
 impl From<RunError> for AlgoError {
@@ -81,11 +94,33 @@ impl std::fmt::Display for AlgoError {
             AlgoError::NotMixedWithin(l) => {
                 write!(f, "no local-mixing acceptance up to length {l}")
             }
+            AlgoError::SourceOutOfRange { src, n } => {
+                write!(f, "source {src} out of range for a {n}-node graph")
+            }
+            AlgoError::IsolatedSource(src) => {
+                write!(
+                    f,
+                    "source {src} is isolated (degree 0); no walk can leave it"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for AlgoError {}
+
+/// The source check of every distributed entry point, made before any
+/// phase runs: the source must be a node, and one the flood can walk from.
+pub(crate) fn check_source<G: WalkGraph + ?Sized>(g: &G, src: usize) -> Result<(), AlgoError> {
+    if src >= g.n() {
+        return Err(AlgoError::SourceOutOfRange { src, n: g.n() });
+    }
+    if g.walk_degree(src) > 0.0 {
+        Ok(())
+    } else {
+        Err(AlgoError::IsolatedSource(src))
+    }
+}
 
 /// One grid pass (steps 5–12 of Algorithm 2) at a fixed length `ℓ`:
 /// returns `Some((R, sum))` on acceptance. Shared with the exact variant.
@@ -147,13 +182,17 @@ pub(crate) fn grid_check(
 /// acceptance target is exact for weight-regular graphs and an
 /// approximation for near-regular ones, mirroring the unweighted §3
 /// regularity assumption.
+///
+/// A source outside the graph or without an edge to walk is an error
+/// ([`AlgoError::SourceOutOfRange`], [`AlgoError::IsolatedSource`]), not a
+/// panic.
 pub fn local_mixing_time_approx<G: FloodGraph + ?Sized>(
     g: &G,
     src: usize,
     cfg: &AlgoConfig,
 ) -> Result<ApproxResult, AlgoError> {
     cfg.validate();
-    assert!(src < g.n(), "source out of range");
+    check_source(g, src)?;
     let topo = g.topology();
     let budget = cfg.budget_bits(g.n());
     let mut metrics = Metrics::default();
@@ -268,6 +307,23 @@ mod tests {
         cfg.max_len = 8;
         let err = local_mixing_time_approx(&g, 0, &cfg).unwrap_err();
         assert_eq!(err, AlgoError::NotMixedWithin(8));
+    }
+
+    #[test]
+    fn bad_sources_are_errors() {
+        let g = gen::path(4);
+        let cfg = AlgoConfig::new(2.0);
+        let err = local_mixing_time_approx(&g, 4, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::SourceOutOfRange { src: 4, n: 4 });
+        assert_eq!(err.to_string(), "source 4 out of range for a 4-node graph");
+        // One isolated node, plain and weighted.
+        let lone = lmt_graph::GraphBuilder::new(1).build();
+        let err = local_mixing_time_approx(&lone, 0, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::IsolatedSource(0));
+        assert!(err.to_string().contains("isolated"), "{err}");
+        let weighted = lmt_graph::WeightedGraph::unit(lone);
+        let err = local_mixing_time_approx(&weighted, 0, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::IsolatedSource(0));
     }
 
     #[test]

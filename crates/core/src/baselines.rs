@@ -18,7 +18,7 @@
 //!   `≈ √(n/K)` that creates the paper's "grey area": for ε below the
 //!   floor the estimate is unreliable (§1.2).
 
-use crate::approx::AlgoError;
+use crate::approx::{check_source, AlgoError};
 use crate::config::AlgoConfig;
 use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::flood::FloodGraph;
@@ -87,12 +87,19 @@ fn distance_at(
 
 /// \[18\]-style distributed global mixing time estimation: doubling to
 /// bracket, then binary search (sound by Lemma 1 monotonicity).
+///
+/// A source outside the graph or of degree 0 is an error
+/// ([`AlgoError::SourceOutOfRange`], [`AlgoError::IsolatedSource`]).
+///
+/// # Panics
+/// Panics if the graph is not connected.
 pub fn estimate_global_mixing_time(
     g: &Graph,
     src: usize,
     cfg: &AlgoConfig,
 ) -> Result<MixingEstimate, AlgoError> {
     cfg.validate();
+    check_source(g, src)?;
     let budget = cfg.budget_bits(g.n());
     let mut metrics = Metrics::default();
     let scale = FixedScale::new(g.n(), cfg.c);
@@ -286,6 +293,16 @@ mod tests {
             est.tau,
             oracle.tau
         );
+    }
+
+    #[test]
+    fn bad_sources_are_errors() {
+        let cfg = AlgoConfig::new(1.0);
+        let err = estimate_global_mixing_time(&gen::complete(4), 4, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::SourceOutOfRange { src: 4, n: 4 });
+        let lone = lmt_graph::GraphBuilder::new(1).build();
+        let err = estimate_global_mixing_time(&lone, 0, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::IsolatedSource(0));
     }
 
     #[test]

@@ -79,22 +79,10 @@ impl AlgoConfig {
     }
 
     /// The `(1+ε)`-geometric grid of candidate set sizes `⌈n/β⌉ … n`
-    /// (Algorithm 2, step 5).
+    /// (Algorithm 2, step 5): the oracle's grid,
+    /// [`lmt_walks::local::geometric_grid`].
     pub fn size_grid(&self, n: usize) -> Vec<usize> {
-        let r_min = ((n as f64 / self.beta).ceil() as usize).clamp(1, n);
-        let mut sizes = Vec::new();
-        let mut r = r_min as f64;
-        loop {
-            let ri = (r.ceil() as usize).min(n);
-            if sizes.last() != Some(&ri) {
-                sizes.push(ri);
-            }
-            if ri >= n {
-                break;
-            }
-            r *= 1.0 + self.eps;
-        }
-        sizes
+        lmt_walks::local::geometric_grid(n, self.beta, self.eps)
     }
 }
 
@@ -115,6 +103,15 @@ mod tests {
         let ours = cfg.size_grid(256);
         let oracle = lmt_walks::local::size_grid(256, &opts);
         assert_eq!(ours, oracle);
+    }
+
+    #[test]
+    fn size_grid_tiny_eps_returns_every_size() {
+        // `1 + 1e-17 == 1`: a per-step loop would never end.
+        let mut cfg = AlgoConfig::new(2.0);
+        cfg.eps = 1e-17;
+        cfg.validate();
+        assert_eq!(cfg.size_grid(100), (50..=100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! needed) at the price of a `D̃ = min{τ_s, D}` factor:
 //! `O(τ_s · D̃ · log n · log_{1+ε} β)` rounds.
 
-use crate::approx::{grid_check, AlgoError, IterationLog};
+use crate::approx::{check_source, grid_check, AlgoError, IterationLog};
 use crate::config::AlgoConfig;
 use lmt_congest::bfs::build_bfs_tree;
 use lmt_congest::flood::IncrementalFlood;
@@ -33,13 +33,16 @@ pub struct ExactResult {
 }
 
 /// Run the §3.2 exact algorithm from `src`.
+///
+/// A source outside the graph or of degree 0 is an error
+/// ([`AlgoError::SourceOutOfRange`], [`AlgoError::IsolatedSource`]).
 pub fn local_mixing_time_exact_distributed(
     g: &Graph,
     src: usize,
     cfg: &AlgoConfig,
 ) -> Result<ExactResult, AlgoError> {
     cfg.validate();
-    assert!(src < g.n(), "source out of range");
+    check_source(g, src)?;
     let budget = cfg.budget_bits(g.n());
     let mut metrics = Metrics::default();
     let mut iterations = Vec::new();
@@ -192,6 +195,20 @@ mod tests {
         // And the approx variant brackets the exact one under lazy walks.
         let approx = local_mixing_time_approx(&g, 0, &cfg).unwrap();
         assert!(global_lazy.ell <= approx.ell && approx.ell < 2 * global_lazy.ell.max(1));
+    }
+
+    #[test]
+    fn bad_sources_are_errors() {
+        let cfg = AlgoConfig::new(2.0);
+        let g = gen::cycle(6);
+        let err = local_mixing_time_exact_distributed(&g, 9, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::SourceOutOfRange { src: 9, n: 6 });
+        // Node 2 of a path plus one isolated node.
+        let mut b = lmt_graph::GraphBuilder::new(3);
+        b.add_edge(0, 1);
+        let g = b.build();
+        let err = local_mixing_time_exact_distributed(&g, 2, &cfg).unwrap_err();
+        assert_eq!(err, AlgoError::IsolatedSource(2));
     }
 
     #[test]

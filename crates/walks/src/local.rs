@@ -187,19 +187,33 @@ impl std::error::Error for LocalMixError {}
 
 /// Build the list of candidate set sizes for `n` nodes under `opts`.
 pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
-    let r_min = ((n as f64 / opts.beta).ceil() as usize).clamp(1, n);
     match opts.grid {
-        // The geometric loop multiplies `r ≤ n − 1` by `f = fl(1 + ε)`, and
-        // `f ≤ (1 + ε)(1 + u)` with `u = EPSILON/2`, so for `0 ≤ ε < 1` each
-        // step adds `0 ≤ fl(r·f) − r ≤ r·ε + 4u·r`, which is `< 1` once
-        // `n·ε ≤ 1/2`. So `⌈r⌉` never skips an integer, and whenever the
-        // loop ends it has pushed exactly `r_min..=n`. The shortcut returns
-        // that directly, also where the loop would never end (`1 + ε == 1`)
-        // or would take `≈ ln β / ε` steps.
-        SizeGrid::All => (r_min..=n).collect(),
-        SizeGrid::Geometric if n as f64 * opts.eps <= 0.5 => (r_min..=n).collect(),
-        SizeGrid::Geometric => geometric_sizes(r_min, n, opts.eps),
+        SizeGrid::All => (min_size(n, opts.beta)..=n).collect(),
+        SizeGrid::Geometric => geometric_grid(n, opts.beta, opts.eps),
     }
+}
+
+/// The smallest candidate set size, `⌈n/β⌉` clamped to `1..=n`.
+fn min_size(n: usize, beta: f64) -> usize {
+    ((n as f64 / beta).ceil() as usize).clamp(1, n)
+}
+
+/// The `(1+ε)`-geometric grid of candidate set sizes `⌈n/β⌉ … n`: the
+/// oracle's [`SizeGrid::Geometric`] and Algorithm 2's step 5 (the one copy
+/// of the grid both use).
+pub fn geometric_grid(n: usize, beta: f64, eps: f64) -> Vec<usize> {
+    let r_min = min_size(n, beta);
+    // The geometric loop multiplies `r ≤ n − 1` by `f = fl(1 + ε)`, and
+    // `f ≤ (1 + ε)(1 + u)` with `u = EPSILON/2`, so for `0 ≤ ε < 1` each
+    // step adds `0 ≤ fl(r·f) − r ≤ r·ε + 4u·r`, which is `< 1` once
+    // `n·ε ≤ 1/2`. So `⌈r⌉` never skips an integer, and whenever the
+    // loop ends it has pushed exactly `r_min..=n`. The shortcut returns
+    // that directly, also where the loop would never end (`1 + ε == 1`)
+    // or would take `≈ ln β / ε` steps.
+    if n as f64 * eps <= 0.5 {
+        return (r_min..=n).collect();
+    }
+    geometric_sizes(r_min, n, eps)
 }
 
 /// The `(1+ε)` grid from `r_min` to `n`, one multiplication per step.
@@ -908,7 +922,7 @@ pub fn brute_force_local_mixing_time<G: WalkGraph + ?Sized>(
 ) -> Option<(usize, Vec<usize>)> {
     let n = g.n();
     assert!(n <= 20, "brute force limited to n ≤ 20");
-    let r_min = ((n as f64 / beta).ceil() as usize).clamp(1, n);
+    let r_min = min_size(n, beta);
     let mut p = Dist::point(n, src);
     for t in 0..=max_t {
         for mask in 0u32..(1 << n) {
@@ -1072,10 +1086,9 @@ mod tests {
                     1e-3,
                 ] {
                     let o = LocalMixOptions { eps, ..opts(beta) };
-                    let r_min = ((n as f64 / beta).ceil() as usize).clamp(1, n);
                     assert_eq!(
                         size_grid(n, &o),
-                        geometric_sizes(r_min, n, eps),
+                        geometric_sizes(min_size(n, beta), n, eps),
                         "n={n} β={beta} ε={eps}"
                     );
                 }

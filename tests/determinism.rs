@@ -945,9 +945,9 @@ proptest! {
     }
 }
 
-/// Tree phases (idle-skipping, so only receivers are stepped, and the
-/// parallel engine's sharded router collects them): a broadcast and a
-/// convergecast per operation on a spanning expander tree.
+/// Tree phases (a sequential flat kernel that ignores the engine kind, so
+/// the BFS tree it runs on is what the engines must agree on): a broadcast
+/// and a convergecast per operation on a spanning expander tree.
 #[test]
 fn tree_phases_parallel_equal_sequential_across_widths() {
     use lmt_congest::tree::{broadcast, convergecast, Op, Wide};
