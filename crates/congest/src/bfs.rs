@@ -232,7 +232,15 @@ mod tests {
     use lmt_graph::{gen, traversal};
 
     fn build(g: &Graph, src: usize, limit: u32) -> (BfsTree, Metrics) {
-        build_bfs_tree(g, src, limit, olog_budget(g.n(), 8), EngineKind::Sequential, 1).unwrap()
+        build_bfs_tree(
+            g,
+            src,
+            limit,
+            olog_budget(g.n(), 8),
+            EngineKind::Sequential,
+            1,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -241,7 +249,11 @@ mod tests {
         let (tree, _) = build(&g, 7, u32::MAX);
         let reference = traversal::bfs(&g, 7);
         for v in 0..g.n() {
-            assert_eq!(tree.dist[v].unwrap() as usize, reference.dist[v], "node {v}");
+            assert_eq!(
+                tree.dist[v].unwrap() as usize,
+                reference.dist[v],
+                "node {v}"
+            );
         }
         assert!(tree.spanning());
         tree.validate(&g).unwrap();
@@ -291,8 +303,15 @@ mod tests {
     #[test]
     fn parallel_engine_same_tree() {
         let g = gen::random_regular(60, 4, 3);
-        let (a, ma) =
-            build_bfs_tree(&g, 0, u32::MAX, olog_budget(60, 8), EngineKind::Sequential, 5).unwrap();
+        let (a, ma) = build_bfs_tree(
+            &g,
+            0,
+            u32::MAX,
+            olog_budget(60, 8),
+            EngineKind::Sequential,
+            5,
+        )
+        .unwrap();
         let (b, mb) =
             build_bfs_tree(&g, 0, u32::MAX, olog_budget(60, 8), EngineKind::Parallel, 5).unwrap();
         assert_eq!(a.dist, b.dist);

@@ -238,9 +238,16 @@ mod tests {
     use lmt_graph::gen;
 
     fn setup(g: &Graph, src: usize) -> BfsTree {
-        build_bfs_tree(g, src, u32::MAX, olog_budget(g.n(), 8), EngineKind::Sequential, 7)
-            .unwrap()
-            .0
+        build_bfs_tree(
+            g,
+            src,
+            u32::MAX,
+            olog_budget(g.n(), 8),
+            EngineKind::Sequential,
+            7,
+        )
+        .unwrap()
+        .0
     }
 
     fn reference_sum(values: &[u128], r: usize) -> u128 {

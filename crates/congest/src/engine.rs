@@ -18,16 +18,15 @@
 //! state. `tests/determinism.rs` (workspace root) locks this equivalence in
 //! at pool widths 1, 2, and 8.
 //!
-//! Message delivery lives in the `routing` module: outboxes keep themselves
-//! destination-sorted (or are normalized by a counting pass), and a
-//! destination-sharded gather assembles each inbox from its in-neighbors'
-//! message runs into arena buffers that are reused — not reallocated —
-//! every round. The engine only decides *when* to route and meters the
-//! result.
+//! Message delivery lives in the `routing` module: each node's visit leaves
+//! its outbox in destination order, and one sequential pass over the
+//! senders in id order appends every outbox's runs to the receiving inboxes,
+//! in buffers that are reused — not reallocated — every round. The engine
+//! only decides *when* to route and meters the result.
 
 use crate::fault::FaultPlan;
 use crate::message::Payload;
-use crate::routing::{FaultCtx, Outbox, Router};
+use crate::routing::{self, FaultCtx, Router};
 use lmt_graph::Graph;
 use lmt_util::rng::RngFanout;
 use rand::rngs::SmallRng;
@@ -41,10 +40,10 @@ const PAR_MIN_CHUNK: usize = 128;
 /// Which executor to use. Results are identical; only wall-clock differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Plain loop over nodes; single-sharded routing.
+    /// Plain loop over nodes.
     #[default]
     Sequential,
-    /// Rayon `par_iter` over nodes; destination-sharded parallel routing.
+    /// Rayon `par_iter` over nodes. Routing is sequential in both.
     Parallel,
 }
 
@@ -152,7 +151,7 @@ pub struct Ctx<'a, M: Payload> {
     id: usize,
     graph: &'a Graph,
     round: u64,
-    outbox: &'a mut Outbox<M>,
+    outbox: &'a mut Vec<(u32, M)>,
     /// The node's deterministic RNG stream.
     pub rng: &'a mut SmallRng,
 }
@@ -202,14 +201,11 @@ impl<M: Payload> Ctx<'_, M> {
     /// Send `msg` to neighbor `to`.
     ///
     /// Sending to a non-neighbor (including to oneself — graphs have no
-    /// self-loops) is a protocol bug, not a runtime condition: debug
-    /// builds panic here. Release builds do not re-check adjacency on the
-    /// hot path; a non-adjacent destination is then unspecified behavior
-    /// at the CONGEST-model level (the message may be delivered anyway,
-    /// or panic during outbox normalization).
+    /// self-loops) is a protocol bug, not a runtime condition.
     ///
     /// # Panics
-    /// Panics in debug builds if `to` is not adjacent.
+    /// Panics if `to` is not adjacent: debug builds here, every build when
+    /// the round is routed ("message addressed to non-neighbor").
     pub fn send(&mut self, to: usize, msg: M) {
         debug_assert!(
             self.graph.has_edge(self.id, to),
@@ -217,17 +213,17 @@ impl<M: Payload> Ctx<'_, M> {
             self.id,
             to
         );
-        self.outbox.push(to as u32, msg);
+        self.outbox.push((to as u32, msg));
     }
 
     /// Send a copy of `msg` to every neighbor.
     ///
-    /// Emits destinations in ascending adjacency order, which keeps the
-    /// outbox on the routing fast path (no normalization needed) —
-    /// broadcast-only protocols like flooding and BFS never sort anything.
+    /// Emits destinations in ascending adjacency order, so an outbox that
+    /// only broadcasts is already in the destination order routing needs
+    /// and is never sorted.
     pub fn send_all(&mut self, msg: M) {
-        self.outbox
-            .extend_broadcast(self.graph.neighbors_raw(self.id), msg);
+        let dests = self.graph.neighbors_raw(self.id);
+        self.outbox.extend(dests.iter().map(|&v| (v, msg.clone())));
     }
 }
 
@@ -288,7 +284,7 @@ struct NodeSlot<P: Protocol> {
 pub struct Network<'g, P: Protocol> {
     graph: &'g Graph,
     nodes: Vec<NodeSlot<P>>,
-    outboxes: Vec<Outbox<P::Msg>>,
+    outboxes: Vec<Vec<(u32, P::Msg)>>,
     router: Router<P::Msg>,
     round: u64,
     metrics: Metrics,
@@ -316,7 +312,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 rng: fan.node(id),
             })
             .collect();
-        let outboxes = (0..graph.n()).map(|_| Outbox::new()).collect();
+        let outboxes = (0..graph.n()).map(|_| Vec::new()).collect();
         Network {
             graph,
             nodes,
@@ -391,21 +387,15 @@ impl<'g, P: Protocol> Network<'g, P> {
         self.nodes.iter().map(|s| &s.proto)
     }
 
-    /// Cumulative count of message-plane heap growth events (outbox
-    /// buffers, normalization scratch, inbox arenas).
+    /// Cumulative count of message-plane heap growth events (outbox and
+    /// inbox buffers).
     ///
     /// The buffers warm up over the first rounds and are then reused, so
-    /// this counter is **flat across steady-state rounds** — the
-    /// allocation-free-routing regression tests pin exactly that. A
-    /// mid-run pool-width change (`LMT_THREADS`) re-shards the inbox arena
-    /// and may bump it once.
+    /// this counter is **flat across steady-state rounds**, at any engine
+    /// and pool width — the allocation-free-routing regression tests pin
+    /// exactly that.
     pub fn routing_alloc_events(&self) -> u64 {
         self.router.alloc_events()
-            + self
-                .outboxes
-                .iter()
-                .map(Outbox::alloc_events)
-                .sum::<u64>()
     }
 
     /// Run the `init` hook (idempotent).
@@ -419,14 +409,14 @@ impl<'g, P: Protocol> Network<'g, P> {
     }
 
     /// Run one node hook on every node — `init`, or `round` on the routed
-    /// inbox — skipping crashed nodes; each outbox is normalized in the
-    /// same pass.
+    /// inbox — skipping crashed nodes; each outbox is put in destination
+    /// order in the same pass.
     fn visit(&mut self, init: bool) {
         let graph = self.graph;
         let round = self.round;
         let router = &self.router;
         let fault = self.fault.as_ref();
-        let visit_node = |id: usize, slot: &mut NodeSlot<P>, outbox: &mut Outbox<P::Msg>| {
+        let visit_node = |id: usize, slot: &mut NodeSlot<P>, outbox: &mut Vec<(u32, P::Msg)>| {
             if fault.is_some_and(|p| p.crashed_by(id, round)) {
                 return;
             }
@@ -442,7 +432,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             } else {
                 slot.proto.round(&mut ctx, router.inbox(id));
             }
-            outbox.normalize(graph.neighbors_raw(id));
+            routing::normalize(outbox);
         };
         let nodes = &mut self.nodes[..];
         let outboxes = &mut self.outboxes[..];
@@ -466,37 +456,28 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// Deliver all outboxes into the inbox arena, enforcing the per-edge
     /// budget and updating metrics.
     ///
-    /// The heavy lifting is the `routing` module's gather pass (destination-
-    /// sharded on the thread pool for the parallel engine): senders are
-    /// visited in ascending id order per destination, so each inbox ends up
-    /// sorted by sender. On a budget violation the round's metrics are
-    /// discarded and the smallest `(from, to)` offender is reported.
+    /// The `routing` module's pass visits senders in ascending id order, so
+    /// each inbox ends up sorted by sender, and empties the outboxes. On a
+    /// budget violation the round's metrics are discarded and the smallest
+    /// `(from, to)` offender is reported.
     fn route(&mut self) -> Result<(), RunError> {
         if let Some(plan) = &self.fault {
             self.metrics.crashed_nodes = plan.crashed_count_by(self.round);
         }
-        let parallel = self.engine == EngineKind::Parallel;
         let fault = self.fault.as_ref().map(|plan| FaultCtx {
             plan,
             round: self.round,
         });
         let outcome = self
             .router
-            .route(&self.outboxes, self.budget_bits, parallel, fault);
-        if let Some((from, to, bits)) = outcome.violation {
-            return Err(RunError::BudgetExceeded {
+            .route(self.graph, &mut self.outboxes, self.budget_bits, fault)
+            .map_err(|(from, to, bits)| RunError::BudgetExceeded {
                 from: from as usize,
                 to: to as usize,
                 round: self.round,
                 bits,
                 budget: self.budget_bits,
-            });
-        }
-        debug_assert_eq!(
-            outcome.delivered + outcome.dropped,
-            self.outboxes.iter().map(|o| o.len() as u64).sum::<u64>(),
-            "router dropped or duplicated messages (non-neighbor send?)"
-        );
+            })?;
         self.metrics.messages += outcome.delivered;
         self.metrics.bits += outcome.bits;
         self.metrics.max_edge_bits = self.metrics.max_edge_bits.max(outcome.max_edge_bits);
@@ -505,13 +486,6 @@ impl<'g, P: Protocol> Network<'g, P> {
         // transmitting into a lossy network is not quiet just because
         // every message was lost.
         self.last_round_sends = outcome.delivered + outcome.dropped;
-        // Outboxes were only read by the gather; empty the (active) ones
-        // for the next round, keeping their allocations — silent nodes'
-        // outboxes are already empty and cost nothing.
-        let router = &self.router;
-        for &u in router.active() {
-            self.outboxes[u as usize].clear();
-        }
         Ok(())
     }
 
@@ -684,7 +658,13 @@ mod tests {
         let mut net = Network::new(&g, |_| Blaster, 64, EngineKind::Sequential, 0);
         let err = net.run_until_quiet(5).unwrap_err();
         match err {
-            RunError::BudgetExceeded { from, to, bits, budget, .. } => {
+            RunError::BudgetExceeded {
+                from,
+                to,
+                bits,
+                budget,
+                ..
+            } => {
                 assert_eq!((from, to), (0, 1));
                 assert_eq!(bits, 120);
                 assert_eq!(budget, 64);
@@ -787,7 +767,6 @@ mod tests {
         fn round(&mut self, _: &mut Ctx<'_, Ping>, _: &[(u32, Ping)]) {}
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-neighbor")]
     fn self_send_rejected() {
@@ -819,7 +798,7 @@ mod tests {
 
     #[test]
     fn max_degree_hub_inbox_sorted_and_complete() {
-        let n = 500; // beyond PAR_MIN_CHUNK so the parallel path shards
+        let n = 500; // beyond PAR_MIN_CHUNK so the parallel visits split
         let g = gen::star(n); // hub 0 + n−1 leaves
         for kind in [EngineKind::Sequential, EngineKind::Parallel] {
             let mut net = Network::new(&g, |_| PingPong { got: 0 }, 8, kind, 3);
@@ -998,8 +977,8 @@ mod tests {
     #[test]
     fn descending_sends_match_sorted_contract() {
         // A protocol that sends to neighbors in descending order: the
-        // normalize pass must restore exactly the old sorted-inbox
-        // semantics (sender-ascending, per-sender send order).
+        // normalize pass must restore the sorted-inbox contract
+        // (sender-ascending, per-sender send order).
         struct Reverse {
             seen: Vec<Vec<u32>>,
         }
@@ -1019,8 +998,7 @@ mod tests {
         let run = |kind| {
             let mut net = Network::new(&g, |_| Reverse { seen: Vec::new() }, 64, kind, 5);
             net.run_rounds(1).unwrap();
-            let logs: Vec<Vec<Vec<u32>>> =
-                net.node_states().map(|s| s.seen.clone()).collect();
+            let logs: Vec<Vec<Vec<u32>>> = net.node_states().map(|s| s.seen.clone()).collect();
             (logs, net.metrics())
         };
         let (seq_logs, seq_m) = run(EngineKind::Sequential);

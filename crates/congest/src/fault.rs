@@ -15,10 +15,10 @@
 //! [`stream_seed`]/[`fork`] discipline as the rest of the workspace: the
 //! drop decisions for directed edge `(from, to)` in round `t` come from the
 //! RNG `fork(stream_seed(seed, t), from << 32 | to)`, drawn in message
-//! order within the edge's per-round run. A run is delivered (or dropped)
-//! entirely inside the routing shard that owns its destination, so the
-//! decisions are independent of shard layout and pool width — Parallel ≡
-//! Sequential stays bit-for-bit under faults (`tests/determinism.rs`).
+//! order within the edge's per-round run. Routing is one sequential pass
+//! whatever the engine, so the decisions are independent of the engine and
+//! the pool width — Parallel ≡ Sequential stays bit-for-bit under faults
+//! (`tests/determinism.rs`).
 //!
 //! A plan with no crashes and `drop_prob == 0` is *trivial*: the engine
 //! takes exactly the fault-free code path for it, so zero-fault runs are

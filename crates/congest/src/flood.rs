@@ -279,7 +279,17 @@ impl FloodGraph for WeightedGraph {
         seed: u64,
     ) -> Result<(Vec<FixedQ>, FixedScale, Metrics), RunError> {
         let qw = QuantizedWeights::new(self);
-        flood(self, Some(&qw), src, ell, c, kind, budget_bits, engine, seed)
+        flood(
+            self,
+            Some(&qw),
+            src,
+            ell,
+            c,
+            kind,
+            budget_bits,
+            engine,
+            seed,
+        )
     }
 }
 
@@ -383,8 +393,16 @@ mod tests {
         ell: u64,
         seed: u64,
     ) -> (Vec<FixedQ>, FixedScale, Metrics) {
-        g.estimate_flood(src, ell, 6, WalkKind::Simple, budget(g.n()), EngineKind::Sequential, seed)
-            .unwrap()
+        g.estimate_flood(
+            src,
+            ell,
+            6,
+            WalkKind::Simple,
+            budget(g.n()),
+            EngineKind::Sequential,
+            seed,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -521,8 +539,16 @@ mod tests {
         let g = gen::cycle(8);
         let wg = gen::weighted::uniform_weights(g.clone(), 1.0);
         let run = |fg: &dyn FloodGraph| {
-            fg.estimate_flood(0, 5, 6, WalkKind::Lazy, budget(8), EngineKind::Sequential, 2)
-                .unwrap()
+            fg.estimate_flood(
+                0,
+                5,
+                6,
+                WalkKind::Lazy,
+                budget(8),
+                EngineKind::Sequential,
+                2,
+            )
+            .unwrap()
         };
         let (a, _, ma) = run(&g);
         let (b, _, mb) = run(&wg);
@@ -550,7 +576,8 @@ mod tests {
         // graph of the post-edit topology.
         let g = gen::grid(4, 4);
         let mut cg = lmt_graph::ChurnGraph::new(g.clone());
-        cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 5)]).unwrap();
+        cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 5)])
+            .unwrap();
         let mut b = lmt_graph::GraphBuilder::new(g.n());
         b.extend_edges(cg.topology().edges());
         let fresh = b.build();
@@ -579,7 +606,10 @@ mod tests {
             let rejects = |name: &str, run: &dyn Fn()| {
                 let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
                     .expect_err(&format!("{name} {kind:?} accepted an isolated source"));
-                let msg = err.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or("");
                 assert!(msg.contains("isolated node"), "{name} {kind:?}: {msg}");
             };
             rejects("Graph", &|| one_shot(&g).unwrap());

@@ -30,19 +30,18 @@
 //! * **Engine equivalence.** The sequential and rayon-parallel executors
 //!   are bit-identical at every pool width: per-node RNG streams depend
 //!   only on `(seed, node id)`, node steps share no mutable state, and
-//!   routing output is a pure function of `(outboxes, graph)`.
+//!   both engines route with the same sequential pass.
 //!
-//! The message plane is arena-based: outbox buffers, normalization
-//! scratch, and the destination-major inbox arena are allocated once per
-//! `Network` and cleared — not dropped — between rounds, so steady-state
+//! Each node's visit leaves its outbox in destination order (a stable
+//! sort, skipped when the sends were already in order, as broadcasts are).
+//! The router then walks the senders in ascending id order and appends
+//! each destination's run to that destination's inbox, which is the
+//! contract above. Per run it checks that the destination is a neighbor of
+//! the sender (a send to a non-neighbor panics in every build), meters the
+//! bits against the budget and applies the fault plan. Outbox and inbox
+//! buffers are cleared — not dropped — between rounds, so steady-state
 //! rounds are allocation-free
-//! ([`engine::Network::routing_alloc_events`] observes this). Outboxes
-//! track destination-sortedness incrementally — broadcast-only and
-//! single-destination protocols (flooding, BFS) skip sorting entirely —
-//! and unsorted outboxes are restored by a stable degree-indexed counting
-//! pass rather than a comparison sort. Delivery gathers each
-//! destination's inbox from its in-neighbors' message runs and is sharded
-//! by destination across the thread pool for the parallel engine.
+//! ([`engine::Network::routing_alloc_events`] observes this).
 //!
 //! ## Tree phases without the engine
 //!
@@ -53,8 +52,7 @@
 //! delivers directly, and a convergecast that is one reverse-BFS pass. It
 //! charges the rounds, messages, bits and budget errors the message-passing
 //! protocol produces on a full-graph network, which a differential test
-//! runs as its oracle. The `engine` argument of the tree entry points does
-//! not affect them.
+//! runs as its oracle. The tree entry points take no engine.
 //!
 //! ## Faults
 //!
@@ -75,8 +73,7 @@
 //! * [`engine`] — [`engine::Network`]: sequential and rayon-parallel round
 //!   executors with identical (deterministic, seeded) semantics, budget
 //!   enforcement, quiescence detection and [`engine::Metrics`].
-//! * `routing` (crate-private) — the arena-backed message plane described
-//!   above.
+//! * `routing` (crate-private) — the message plane described above.
 //! * [`bfs`] — distributed BFS-tree construction by flooding (depth-limited,
 //!   as used in step 3 of Algorithm 2), verified against the centralized
 //!   traversal.

@@ -28,14 +28,13 @@
 //!   [`RunError::BudgetExceeded`] naming the first violating round and, in
 //!   it, the smallest `(from, to)` pair, in full-graph ids.
 //!
-//! Tree phases are sequential and draw no randomness: the `engine` and
-//! `seed` arguments of [`broadcast`], [`convergecast`] and
-//! [`convergecast_partial`] do not affect them, so Parallel ≡ Sequential
-//! holds trivially. Results do not depend on the pass order because
-//! [`Op::combine`] does not.
+//! Tree phases are sequential and draw no randomness, so they take no
+//! engine or seed: Parallel ≡ Sequential holds for them once the BFS tree
+//! agrees. Results do not depend on the pass order because [`Op::combine`]
+//! does not.
 
 use crate::bfs::BfsTree;
-use crate::engine::{EngineKind, Metrics, RunError};
+use crate::engine::{Metrics, RunError};
 use crate::message::Payload;
 
 /// A `u128` value with an explicit wire width, the workhorse payload for
@@ -329,14 +328,10 @@ impl FlatTree {
 /// Broadcast `value` from the tree root to every tree node.
 ///
 /// Returns each node's received value (`None` outside the tree) and metrics.
-/// Tree phases are sequential and deterministic: `engine` and `seed` do not
-/// affect them (see the module docs).
 pub fn broadcast(
     tree: &BfsTree,
     value: Wide,
     budget_bits: u32,
-    _engine: EngineKind,
-    _seed: u64,
 ) -> Result<(Vec<Option<Wide>>, Metrics), RunError> {
     let flat = FlatTree::new(tree, budget_bits);
     let m = flat.broadcast(value)?;
@@ -353,8 +348,7 @@ pub fn broadcast(
 /// nothing — how threshold-filtered counts/sums are expressed); it is
 /// called once per tree node, in no particular order. Subtlety: a node
 /// still *forwards* children's partials even when it contributes nothing
-/// itself. `engine` and `seed` do not affect tree phases (see the module
-/// docs).
+/// itself.
 ///
 /// Returns the root's aggregate (`None` if nobody contributed) and metrics.
 ///
@@ -368,8 +362,6 @@ pub fn convergecast(
     op: Op,
     contribute: impl FnMut(usize) -> Option<Wide>,
     budget_bits: u32,
-    engine: EngineKind,
-    seed: u64,
 ) -> Result<(Option<Wide>, Metrics), RunError> {
     assert!(
         tree.spanning(),
@@ -378,7 +370,7 @@ pub fn convergecast(
         tree.reached(),
         tree.dist.len()
     );
-    convergecast_partial(tree, op, contribute, budget_bits, engine, seed)
+    convergecast_partial(tree, op, contribute, budget_bits)
 }
 
 /// [`convergecast`] over a possibly depth-limited tree: only tree members
@@ -388,8 +380,6 @@ pub fn convergecast_partial(
     op: Op,
     mut contribute: impl FnMut(usize) -> Option<Wide>,
     budget_bits: u32,
-    _engine: EngineKind,
-    _seed: u64,
 ) -> Result<(Option<Wide>, Metrics), RunError> {
     let mut flat = FlatTree::new(tree, budget_bits);
     let members = flat.members().to_vec();
@@ -400,29 +390,29 @@ pub fn convergecast_partial(
 mod tests {
     use super::*;
     use crate::bfs::build_bfs_tree;
-    use crate::engine::{Ctx, Network, Protocol};
+    use crate::engine::{Ctx, EngineKind, Network, Protocol};
     use crate::message::olog_budget;
     use lmt_graph::{gen, Graph};
     use proptest::prelude::*;
 
     fn tree_for(g: &Graph, src: usize) -> BfsTree {
-        build_bfs_tree(g, src, u32::MAX, olog_budget(g.n(), 8), EngineKind::Sequential, 1)
-            .unwrap()
-            .0
+        build_bfs_tree(
+            g,
+            src,
+            u32::MAX,
+            olog_budget(g.n(), 8),
+            EngineKind::Sequential,
+            1,
+        )
+        .unwrap()
+        .0
     }
 
     #[test]
     fn broadcast_reaches_all_in_depth_rounds() {
         let g = gen::grid(4, 4);
         let tree = tree_for(&g, 0);
-        let (vals, m) = broadcast(
-            &tree,
-            Wide::new(99, 8),
-            olog_budget(16, 8),
-            EngineKind::Sequential,
-            2,
-        )
-        .unwrap();
+        let (vals, m) = broadcast(&tree, Wide::new(99, 8), olog_budget(16, 8)).unwrap();
         assert!(vals.iter().all(|v| v.map(|w| w.value) == Some(99)));
         assert!(m.rounds <= tree.depth as u64 + 2);
     }
@@ -437,8 +427,6 @@ mod tests {
             Op::Sum,
             |_| Some(Wide::new(1, width)),
             olog_budget(g.n(), 8),
-            EngineKind::Sequential,
-            3,
         )
         .unwrap();
         assert_eq!(res.unwrap().value, g.n() as u128);
@@ -456,8 +444,6 @@ mod tests {
                 op,
                 |id| Some(Wide::new(vals[id], 8)),
                 olog_budget(7, 16),
-                EngineKind::Sequential,
-                4,
             )
             .unwrap()
             .0
@@ -478,8 +464,6 @@ mod tests {
             Op::Sum,
             |id| (id == 0 || id == 4).then(|| Wide::new(5, 8)),
             olog_budget(5, 16),
-            EngineKind::Sequential,
-            5,
         )
         .unwrap();
         assert_eq!(res.unwrap().value, 10);
@@ -489,15 +473,7 @@ mod tests {
     fn empty_contribution_yields_none() {
         let g = gen::cycle(4);
         let tree = tree_for(&g, 0);
-        let (res, _) = convergecast(
-            &tree,
-            Op::Sum,
-            |_| None,
-            olog_budget(4, 16),
-            EngineKind::Sequential,
-            6,
-        )
-        .unwrap();
+        let (res, _) = convergecast(&tree, Op::Sum, |_| None, olog_budget(4, 16)).unwrap();
         assert!(res.is_none());
     }
 
@@ -505,32 +481,19 @@ mod tests {
     #[should_panic(expected = "spanning")]
     fn non_spanning_tree_rejected() {
         let g = gen::path(6);
-        let (tree, _) = build_bfs_tree(&g, 0, 2, olog_budget(6, 8), EngineKind::Sequential, 1)
-            .unwrap();
-        let _ = convergecast(
-            &tree,
-            Op::Sum,
-            |_| None,
-            olog_budget(6, 16),
-            EngineKind::Sequential,
-            7,
-        );
+        let (tree, _) =
+            build_bfs_tree(&g, 0, 2, olog_budget(6, 8), EngineKind::Sequential, 1).unwrap();
+        let _ = convergecast(&tree, Op::Sum, |_| None, olog_budget(6, 16));
     }
 
     #[test]
     fn parallel_matches_sequential() {
+        // The engine only builds the tree; the phase on it must agree.
         let g = gen::random_regular(48, 4, 8);
-        let tree = tree_for(&g, 0);
         let run = |kind| {
-            convergecast(
-                &tree,
-                Op::Sum,
-                |id| Some(Wide::new(id as u128, 16)),
-                olog_budget(48, 16),
-                kind,
-                9,
-            )
-            .unwrap()
+            let budget = olog_budget(48, 16);
+            let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, kind, 1).unwrap();
+            convergecast(&tree, Op::Sum, |id| Some(Wide::new(id as u128, 16)), budget).unwrap()
         };
         let (a, ma) = run(EngineKind::Sequential);
         let (b, mb) = run(EngineKind::Parallel);
@@ -546,16 +509,13 @@ mod tests {
         let tree = tree_for(&g, 0);
         let leaves = n as u64 - 1;
         let budget = olog_budget(n, 16);
-        let (_, m) =
-            broadcast(&tree, Wide::new(3, 12), budget, EngineKind::Sequential, 1).unwrap();
+        let (_, m) = broadcast(&tree, Wide::new(3, 12), budget).unwrap();
         assert_eq!((m.messages, m.bits), (leaves, 12 * leaves), "down: width");
         let (_, m) = convergecast(
             &tree,
             Op::Sum,
             |id| (id % 2 == 1).then(|| Wide::new(1, 12)),
             budget,
-            EngineKind::Sequential,
-            1,
         )
         .unwrap();
         // Leaves 1, 3, 5, 7 send a value (1 + 12 bits), 2, 4, 6, 8 an empty report.
@@ -727,7 +687,10 @@ mod tests {
         // phases must match a fresh full-graph network phase by phase.
         let g = gen::random_regular(120, 4, 2);
         let budget = olog_budget(120, 16);
-        for (limit, kind) in [(u32::MAX, EngineKind::Sequential), (3, EngineKind::Parallel)] {
+        for (limit, kind) in [
+            (u32::MAX, EngineKind::Sequential),
+            (3, EngineKind::Parallel),
+        ] {
             let tree = build_bfs_tree(&g, 7, limit, budget, EngineKind::Sequential, 1)
                 .unwrap()
                 .0;

@@ -46,11 +46,11 @@ proptest! {
         let budget = olog_budget(n, 32);
         let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, EngineKind::Sequential, 2).unwrap();
         let (sum, _) = convergecast(
-            &tree, Op::Sum, |id| Some(Wide::new(values[id], 40)), budget, EngineKind::Sequential, 3,
+            &tree, Op::Sum, |id| Some(Wide::new(values[id], 40)), budget,
         ).unwrap();
         prop_assert_eq!(sum.unwrap().value, values.iter().sum::<u128>());
         let (mn, _) = convergecast(
-            &tree, Op::Min, |id| Some(Wide::new(values[id], 40)), budget, EngineKind::Sequential, 4,
+            &tree, Op::Min, |id| Some(Wide::new(values[id], 40)), budget,
         ).unwrap();
         prop_assert_eq!(mn.unwrap().value, *values.iter().min().unwrap());
     }

@@ -78,8 +78,6 @@ fn distance_at(
         Op::Sum,
         |u| Some(Wide::new(diffs[u], width)),
         budget,
-        cfg.engine,
-        cfg.seed.wrapping_add(0xA000 + ell),
     )?;
     metrics.absorb(&m_cc);
     Ok(FixedQ::from_numerator(sum.map_or(0, |v| v.value)))

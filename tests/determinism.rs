@@ -198,10 +198,10 @@ proptest! {
     }
 }
 
-/// Adversarial workout for the arena router (ISSUE 3): every node rotates
-/// through the three routing paths — broadcast (`send_all`, the sorted fast
-/// path), descending per-neighbor sends (forces the counting normalize),
-/// and an RNG-chosen single destination (exercises per-node streams) — and
+/// Adversarial workout for the router: every node rotates through three
+/// send patterns — broadcast (`send_all`, already in destination order),
+/// descending per-neighbor sends (the outbox must be sorted), and an
+/// RNG-chosen single destination (exercises per-node streams) — and
 /// folds every inbox it observes, order-sensitively, into a rolling hash.
 /// Any routing discrepancy (ordering, duplication, loss, cross-round leak)
 /// at any pool width lands in the digest.
@@ -244,7 +244,7 @@ mod routing_mixer {
             match ctx.round() % 3 {
                 0 => ctx.send_all(Counter::new(ctx.round() & 0xFF, 8)),
                 1 => {
-                    // Descending destinations: the slow (normalize) path.
+                    // Descending destinations: the outbox must be sorted.
                     let nbrs: Vec<usize> = ctx.neighbors().collect();
                     for (i, &v) in nbrs.iter().rev().enumerate() {
                         ctx.send(v, Counter::new(i as u64 & 0xFF, 8));
@@ -285,7 +285,7 @@ mod routing_mixer {
     /// [`digest`] on a faulty network: two crash-stop nodes (one at round
     /// 0, one mid-run) and a 25% drop rate, all derived from `fault_seed`.
     /// Drop decisions are per (directed edge, round) and crash gating is
-    /// per node — neither depends on shard layout, so this digest must be
+    /// per node — neither depends on the engine, so this digest must be
     /// engine- and width-stable exactly like the fault-free one.
     pub fn faulty_digest(
         g: &lmt_graph::Graph,
@@ -333,9 +333,8 @@ mod routing_mixer {
         format!("{hashes:?} | {:?}", net.metrics())
     }
 
-    /// Warm the arenas through two full send-pattern cycles, then assert
-    /// the message plane stops allocating (at whatever shard layout the
-    /// current pool width implies).
+    /// Warm the buffers through two full send-pattern cycles, then assert
+    /// the message plane stops allocating.
     pub fn assert_steady_alloc(g: &lmt_graph::Graph, engine: EngineKind) {
         let mut net = network(g, engine, 0xA110C, 24);
         net.run_rounds(6).expect("warm-up");
@@ -367,8 +366,8 @@ proptest! {
 
     /// The fault plane (PR 7): the same mixer under crashes + 25% drops
     /// must stay bit-identical across engines and pool widths — the drop
-    /// RNG is keyed per (directed edge, round) precisely so shard layout
-    /// cannot reorder its draws.
+    /// RNG is keyed per (directed edge, round), so nothing but the edge's
+    /// own messages orders its draws.
     #[test]
     fn faulty_routing_parallel_equals_sequential((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);
@@ -403,10 +402,10 @@ proptest! {
     }
 }
 
-/// The multi-shard gather for real: n = 1024 = 4·ROUTE_MIN_SHARD, so the
-/// parallel engine routes with 2 destination shards at width 2 and 4 at
-/// width 8 — exercising `Router::route`'s par-dispatch and outcome merge
-/// end-to-end, which the small proptest graphs (single shard) cannot.
+/// The routing mixer at a size where the parallel engine really splits its
+/// node visits: n = 1024 is 8× the engine's 128-node minimum chunk, so at
+/// widths 2 and 8 the outboxes are filled and sorted on 2 and 8 threads,
+/// which the small proptest graphs (one chunk) cannot show.
 #[test]
 fn routing_multi_shard_parallel_equals_sequential() {
     let g = gen::random_regular(1024, 4, 77);
@@ -424,8 +423,90 @@ fn routing_multi_shard_parallel_equals_sequential() {
             pair[0].0, pair[1].0
         );
     }
-    // Steady-state allocation-freedom must hold at every shard layout too.
+    // Steady-state allocation-freedom must hold at every pool width too.
     at_widths(|| routing_mixer::assert_steady_alloc(&g, EngineKind::Parallel));
+}
+
+/// Literal pins of the message plane's output. Cross-engine equality only
+/// shows that both engines agree; these FNV-1a-64 digests, recorded on the
+/// router that normalized outboxes by insertion (≤ 64 messages) or by a
+/// degree-indexed counting pass (larger), fix the inbox order, the fault
+/// decisions and the metrics themselves. `complete(80)`'s 79-message
+/// descending sends and BFS joins (an `Adopt` to the parent, then a
+/// broadcast `Join`: 80 messages out of destination order) took the
+/// counting pass; the 1024-node mixer and the perfbench graph's BFS took
+/// insertion.
+mod routing_pins {
+    use super::*;
+    use lmt_util::rng::{fork, stream_seed};
+    use rand::Rng;
+
+    pub fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `[digest, faulty_digest]` of the routing mixer, sequential engine.
+    pub fn mixer(g: &Graph) -> [u64; 2] {
+        let plain = routing_mixer::digest(g, EngineKind::Sequential, 0xD15C);
+        let faulty = routing_mixer::faulty_digest(g, EngineKind::Sequential, 0xD15C, 0xFA);
+        [fnv(plain.into_bytes()), fnv(faulty.into_bytes())]
+    }
+
+    /// Digest of a full-depth BFS tree (`parent`, `dist`, `children`) and
+    /// its metrics, sequential engine.
+    pub fn bfs(g: &Graph, src: usize) -> u64 {
+        let (t, m) =
+            build_bfs_tree(g, src, u32::MAX, olog_budget(g.n(), 8), EngineKind::Sequential, 1)
+                .expect("bfs");
+        let opt = |x: Option<u32>| x.map_or(u64::MAX, u64::from);
+        let mut words: Vec<u64> = Vec::new();
+        words.extend(t.parent.iter().map(|&p| opt(p)));
+        words.extend(t.dist.iter().map(|&d| opt(d)));
+        for c in &t.children {
+            words.push(c.len() as u64);
+            words.extend(c.iter().map(|&v| u64::from(v)));
+        }
+        words.extend([
+            m.rounds,
+            m.messages,
+            m.bits,
+            u64::from(m.max_edge_bits),
+            m.dropped_messages,
+            m.crashed_nodes,
+        ]);
+        fnv(words.into_iter().flat_map(u64::to_le_bytes))
+    }
+
+    /// perfbench's seed-1 `algo2-expander` graph and its first query source.
+    pub fn algo2_expander() -> (Graph, usize) {
+        let n = 1 << 11;
+        let g = gen::random_regular(n, 8, stream_seed(1, 0));
+        (g, fork(stream_seed(1, 1), 0).gen_range(0..n))
+    }
+}
+
+#[test]
+fn routing_and_bfs_pinned_literals() {
+    let expander = gen::random_regular(1024, 4, 77);
+    let clique = gen::complete(80);
+    let (algo2_g, algo2_src) = routing_pins::algo2_expander();
+    let got = [
+        routing_pins::mixer(&expander),
+        routing_pins::mixer(&clique),
+        [routing_pins::bfs(&clique, 5), routing_pins::bfs(&algo2_g, algo2_src)],
+    ];
+    assert_eq!(
+        got,
+        [
+            [0x5f76_791c_b7aa_67eb, 0x4a2c_c6f9_1c00_b647],
+            [0x0af3_000c_a7be_5aa1, 0xf0c5_fe72_b42b_d6b0],
+            [0x6880_248b_9419_e433, 0xe4fe_62d8_28b9_4ba9],
+        ],
+        "[[mixer, faulty mixer] on random_regular(1024, 4, 77), same on \
+         complete(80), [bfs complete(80) from 5, bfs algo2-expander seed 1]]"
+    );
 }
 
 /// The walk evolution engine (ISSUE 5): the frontier-sparse path and the
@@ -956,7 +1037,7 @@ fn tree_phases_parallel_equal_sequential_across_widths() {
     let results = at_widths(|| {
         both_engines(|engine| {
             let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, engine, 1).expect("bfs");
-            let down = broadcast(&tree, Wide::new(77, 8), budget, engine, 2).expect("bcast");
+            let down = broadcast(&tree, Wide::new(77, 8), budget).expect("bcast");
             let mut out = format!("{down:?}");
             for op in [Op::Min, Op::Max, Op::Sum] {
                 let up = convergecast(
@@ -964,8 +1045,6 @@ fn tree_phases_parallel_equal_sequential_across_widths() {
                     op,
                     |id| (id % 3 != 0).then(|| Wide::new((id * 37 % 1000) as u128, 24)),
                     budget,
-                    engine,
-                    3,
                 )
                 .expect("convergecast");
                 out += &format!("{up:?}");
