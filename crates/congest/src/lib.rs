@@ -43,16 +43,23 @@
 //! rounds are allocation-free
 //! ([`engine::Network::routing_alloc_events`] observes this).
 //!
-//! ## Tree phases without the engine
+//! ## Phases without the engine
+//!
+//! Of Algorithm 2's phases only BFS runs on [`engine::Network`]. Every
+//! message of Algorithm 1's flood is a pure function of the current
+//! fixed-point state, so [`flood`] steps the fixed-point walk of
+//! `lmt-walks::fixed_flood` and meters one message per nonzero share it
+//! ships.
 //!
 //! Broadcast and convergecast over a BFS tree — the bulk of Algorithm 2's
-//! rounds — do not run on a [`engine::Network`]. Their schedule is fixed by
-//! the tree's shape, so [`tree`] executes them with a flat, sequential
-//! kernel: one layout of the tree in BFS order per call, a broadcast that
-//! delivers directly, and a convergecast that is one reverse-BFS pass. It
-//! charges the rounds, messages, bits and budget errors the message-passing
-//! protocol produces on a full-graph network, which a differential test
-//! runs as its oracle. The tree entry points take no engine.
+//! rounds — do not run on a [`engine::Network`] either. Their schedule is
+//! fixed by the tree's shape, so [`tree`] executes them with a flat,
+//! sequential kernel: one layout of the tree in BFS order per call, a
+//! broadcast that delivers directly, and a convergecast that is one
+//! reverse-BFS pass. It charges the rounds, messages, bits and budget
+//! errors the message-passing protocol produces on a full-graph network,
+//! which a differential test runs as its oracle. Neither the tree phases
+//! nor the flood depend on the engine kind.
 //!
 //! ## Faults
 //!
@@ -84,12 +91,11 @@
 //!   source learn **the sum of the `R` smallest node values** in
 //!   `O(D log n)` rounds (§3.1), with both the paper's random tie-breaking
 //!   and an exact threshold-correction variant.
-//! * [`flood`] — the distributed form of **Algorithm 1**
-//!   (ESTIMATE-RW-PROBABILITY): per-round probability flooding in fixed
-//!   point, bit-identical to the centralized reference in
-//!   `lmt-walks::fixed_flood`. One entry point,
-//!   [`flood::FloodGraph::estimate_flood`], on plain, weighted and churning
-//!   graphs, plus the round-at-a-time [`flood::IncrementalFlood`].
+//! * [`flood`] — **Algorithm 1** (ESTIMATE-RW-PROBABILITY): per-round
+//!   probability flooding in fixed point, metered as described above. One
+//!   entry point, [`flood::FloodGraph::estimate_flood`], on plain, weighted
+//!   and churning graphs, plus the round-at-a-time
+//!   [`flood::IncrementalFlood`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,7 +11,8 @@
 //!    if the sum is `< 4ε` (the relaxed test of Lemma 3 that covers the
 //!    off-grid set sizes).
 //!
-//! BFS and the flood run as message passing on the CONGEST engine; the
+//! BFS runs as message passing on the CONGEST engine. The flood steps the
+//! fixed-point walk and charges one message per nonzero share, and the
 //! binary search's tree phases run on `lmt_congest::tree`'s flat kernel,
 //! which charges exactly the rounds, messages and bits of the
 //! message-passing protocol. The returned metrics are the algorithm's true

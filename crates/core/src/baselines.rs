@@ -73,12 +73,7 @@ fn distance_at(
         })
         .collect();
     let width = scale.payload_bits() + id_bits(g.n()) + 1;
-    let (sum, m_cc) = convergecast(
-        tree,
-        Op::Sum,
-        |u| Some(Wide::new(diffs[u], width)),
-        budget,
-    )?;
+    let (sum, m_cc) = convergecast(tree, Op::Sum, |u| Some(Wide::new(diffs[u], width)), budget)?;
     metrics.absorb(&m_cc);
     Ok(FixedQ::from_numerator(sum.map_or(0, |v| v.value)))
 }
@@ -135,10 +130,7 @@ pub fn estimate_global_mixing_time(
             lo = mid + 1;
         }
     }
-    Ok(MixingEstimate {
-        tau: lo,
-        metrics,
-    })
+    Ok(MixingEstimate { tau: lo, metrics })
 }
 
 /// Output of the sampling-based estimator model.

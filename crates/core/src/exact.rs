@@ -47,26 +47,15 @@ pub fn local_mixing_time_exact_distributed(
     let mut metrics = Metrics::default();
     let mut iterations = Vec::new();
 
-    let mut flood = IncrementalFlood::new(
-        g,
-        src,
-        cfg.c,
-        cfg.kind,
-        budget,
-        cfg.engine,
-        cfg.seed.wrapping_add(0xF100D),
-    );
+    let mut flood = IncrementalFlood::new(g, src, cfg.c, cfg.kind, budget);
     let scale = flood.scale();
-    let mut flood_rounds_seen = 0u64;
 
     for ell in 1..=cfg.max_len {
-        let rounds_before = metrics.rounds + flood.metrics().rounds - flood_rounds_seen;
+        let rounds_before = metrics.rounds;
 
         // One more walk step (one CONGEST round).
-        flood.advance()?;
-        let flood_m = flood.metrics();
-        metrics.rounds += flood_m.rounds - flood_rounds_seen;
-        flood_rounds_seen = flood_m.rounds;
+        flood.advance();
+        metrics.rounds += 1;
 
         // BFS tree of depth min{D, ℓ}, rebuilt per iteration as in §3.2.
         let depth_limit = u32::try_from(ell).unwrap_or(u32::MAX);
@@ -143,7 +132,12 @@ mod tests {
         let cfg = AlgoConfig::new(4.0);
         let exact = local_mixing_time_exact_distributed(&g, 3, &cfg).unwrap();
         let approx = local_mixing_time_approx(&g, 3, &cfg).unwrap();
-        assert!(exact.ell <= approx.ell, "exact {} > approx {}", exact.ell, approx.ell);
+        assert!(
+            exact.ell <= approx.ell,
+            "exact {} > approx {}",
+            exact.ell,
+            approx.ell
+        );
         assert!(
             approx.ell < 2 * exact.ell.max(1),
             "approx {} ≥ 2·exact {}",

@@ -72,7 +72,9 @@ impl Dist {
         if (m - 1.0).abs() <= tol {
             Ok(())
         } else {
-            Err(format!("distribution mass {m} deviates from 1 by more than {tol}"))
+            Err(format!(
+                "distribution mass {m} deviates from 1 by more than {tol}"
+            ))
         }
     }
 

@@ -197,7 +197,11 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
     pub fn from_dists(g: &'g G, cols: &[&[f64]], kind: WalkKind) -> Self {
         Self::start(g, kind, cols.len(), DENSE_CROSSOVER, |cur, support| {
             for (j, col) in cols.iter().enumerate() {
-                assert_eq!(col.len(), g.n(), "evolution: distribution/graph size mismatch");
+                assert_eq!(
+                    col.len(),
+                    g.n(),
+                    "evolution: distribution/graph size mismatch"
+                );
                 assert_walkable(g, col, "evolution");
                 for (v, &pv) in col.iter().enumerate() {
                     if pv != 0.0 {
@@ -695,7 +699,11 @@ mod tests {
         let t_pre = 3;
         let pre: Vec<Dist> = sources
             .iter()
-            .map(|&s| dense_reference(&g, s, WalkKind::Simple, t_pre).pop().unwrap())
+            .map(|&s| {
+                dense_reference(&g, s, WalkKind::Simple, t_pre)
+                    .pop()
+                    .unwrap()
+            })
             .collect();
         let mut cols: Vec<&[f64]> = pre.iter().map(|d| d.as_slice()).collect();
         let point = Dist::point(g.n(), 30);
@@ -711,7 +719,9 @@ mod tests {
                 .unwrap();
             assert_eq!(block.lane_dist(j), solo, "resumed lane {j} (source {s})");
         }
-        let fresh = dense_reference(&g, 30, WalkKind::Simple, t_post).pop().unwrap();
+        let fresh = dense_reference(&g, 30, WalkKind::Simple, t_post)
+            .pop()
+            .unwrap();
         assert_eq!(block.lane_dist(3), fresh, "fresh point-mass lane");
     }
 

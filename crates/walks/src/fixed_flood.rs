@@ -1,11 +1,15 @@
-//! Centralized reference of Algorithm 1 (ESTIMATE-RW-PROBABILITY).
+//! Algorithm 1 (ESTIMATE-RW-PROBABILITY) as a fixed-point walk.
 //!
-//! The distributed implementation in `lmt-congest::flood` must agree with
-//! this iteration **bit-for-bit**: both perform, per step, per node `u` with
-//! `w(u) ≠ 0`, the send of `round(w(u)/d(u))` to every neighbor (lazy:
-//! `round(w/2d)` shipped, `round(w/2)` retained) and the exact integer
-//! summation of received shares — they literally share [`FixedWalk::share_of`]
-//! / [`FixedWalk::keep_of`].
+//! [`FixedWalk`] is the one implementation of Algorithm 1: per step, every
+//! node `u` with `w(u) ≠ 0` ships `nint(w(u)/d(u))` to each neighbor (lazy:
+//! `nint(w/2d)` shipped, `nint(w/2)` retained, footnote 5), and every node
+//! replaces its weight with the exact integer sum of what it retained and
+//! received. Each shipped share is one CONGEST message, so
+//! [`FixedWalk::step`] returns the round's message count, which is all
+//! `lmt-congest::flood` needs to meter the distributed run: a share that
+//! rounds to zero is not sent. On a weighted graph the share to `v` is
+//! `nint(w(u)·ω(u,v)/Ω(u))` over weights quantized once up front
+//! ([`QuantizedWeights`]).
 //!
 //! Error model (experiment T7): each per-edge share is rounded to the nearest
 //! multiple of `1/n^c`, so one step adds at most `d_max/(2n^c)` of error at a
@@ -15,7 +19,7 @@
 
 use crate::step::WalkKind;
 use crate::Dist;
-use lmt_graph::{Graph, WeightedGraph};
+use lmt_graph::{Graph, WalkGraph, WeightedGraph};
 use lmt_util::fixed::{FixedQ, FixedScale};
 
 /// Rounding mode for the per-edge share (the paper uses nearest).
@@ -28,7 +32,7 @@ pub enum Rounding {
 }
 
 /// The fixed-point walk state: one `FixedQ` weight per node.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct FixedWalk {
     /// Shared scale `q = n^c`.
     pub scale: FixedScale,
@@ -38,6 +42,10 @@ pub struct FixedWalk {
     pub t: usize,
     rounding: Rounding,
     kind: WalkKind,
+    /// `None` on an unweighted graph.
+    weights: Option<QuantizedWeights>,
+    /// The next step's weights, reused across steps.
+    next: Vec<FixedQ>,
 }
 
 impl FixedWalk {
@@ -45,8 +53,39 @@ impl FixedWalk {
     /// kind keeps `nint(w/2)` at the node and ships `nint(w/2d)` per edge —
     /// the footnote-5 fix that makes mixing well-defined on bipartite
     /// graphs.
+    ///
+    /// # Panics
+    /// Panics if `src` is out of range or isolated: its point mass could
+    /// never move, and the walk would silently lose it (simple) or halve it
+    /// every step (lazy).
     pub fn new(g: &Graph, src: usize, c: u32, rounding: Rounding, kind: WalkKind) -> Self {
-        assert!(src < g.n(), "source out of range");
+        Self::start(g, None, src, c, rounding, kind)
+    }
+
+    /// The walk on `wg` with its weights quantized ([`QuantizedWeights`])
+    /// and nearest rounding. At unit weights every share equals
+    /// [`Self::new`]'s bit-for-bit.
+    ///
+    /// # Panics
+    /// As [`Self::new`].
+    pub fn weighted(wg: &WeightedGraph, src: usize, c: u32, kind: WalkKind) -> Self {
+        let weights = QuantizedWeights::new(wg);
+        Self::start(wg, Some(weights), src, c, Rounding::Nearest, kind)
+    }
+
+    fn start<G: WalkGraph + ?Sized>(
+        g: &G,
+        weights: Option<QuantizedWeights>,
+        src: usize,
+        c: u32,
+        rounding: Rounding,
+        kind: WalkKind,
+    ) -> Self {
+        assert!(src < g.n(), "flood source {src} out of range");
+        assert!(
+            g.walk_degree(src) > 0.0,
+            "flood source {src} is an isolated node (degree 0); its mass could never move"
+        );
         let scale = FixedScale::new(g.n(), c);
         let mut w = vec![scale.zero(); g.n()];
         w[src] = scale.one();
@@ -56,78 +95,108 @@ impl FixedWalk {
             t: 0,
             rounding,
             kind,
+            weights,
+            next: Vec::new(),
         }
     }
 
-    /// Per-edge share of a node holding weight `w` with degree `d`.
-    ///
-    /// Public so the distributed implementation (`lmt-congest::flood`) uses
-    /// the *same* arithmetic and stays bit-identical to this reference.
-    #[inline]
-    pub fn share_of(
-        scale: &FixedScale,
-        rounding: Rounding,
-        kind: WalkKind,
-        w: FixedQ,
-        d: usize,
-    ) -> FixedQ {
-        let denom = match kind {
-            WalkKind::Simple => d,
-            WalkKind::Lazy => 2 * d,
+    /// `w/d` at the walk's rounding.
+    fn divide(&self, w: FixedQ, d: usize) -> FixedQ {
+        match self.rounding {
+            Rounding::Nearest => self.scale.div_round(w, d),
+            Rounding::Floor => self.scale.div_floor(w, d),
+        }
+    }
+
+    /// The share denominator's factor: 1 (simple) or 2 (lazy).
+    fn kd(&self) -> usize {
+        match self.kind {
+            WalkKind::Simple => 1,
+            WalkKind::Lazy => 2,
+        }
+    }
+
+    /// The part of `w_t(u)` that `u` retains: the lazy half, plus on a
+    /// weighted graph the self-loop share `nint(w·loopq/(kd·Ωq))`.
+    fn keep(&self, u: usize) -> FixedQ {
+        let w = self.w[u];
+        let half = match self.kind {
+            WalkKind::Simple => self.scale.zero(),
+            WalkKind::Lazy => self.divide(w, 2),
         };
-        match rounding {
-            Rounding::Nearest => scale.div_round(w, denom),
-            Rounding::Floor => scale.div_floor(w, denom),
+        match &self.weights {
+            Some(qw) if qw.loopq[u] > 0 => {
+                let den = self.kd() as u128 * qw.wdegq[u];
+                let share = self.scale.mul_div_round(w, qw.loopq[u] as u128, den);
+                self.scale.add(half, share)
+            }
+            _ => half,
         }
     }
 
-    /// Retained (lazy) part of a node's weight (see [`Self::share_of`]).
-    #[inline]
-    pub fn keep_of(
-        scale: &FixedScale,
-        rounding: Rounding,
-        kind: WalkKind,
-        w: FixedQ,
-    ) -> FixedQ {
-        match kind {
-            WalkKind::Simple => scale.zero(),
-            WalkKind::Lazy => match rounding {
-                Rounding::Nearest => scale.div_round(w, 2),
-                Rounding::Floor => scale.div_floor(w, 2),
-            },
+    /// Call `ship(v, share)` for every nonzero share `u` sends this step,
+    /// in adjacency order. Silent nodes (`w(u) = 0`, Algorithm 1 step 3)
+    /// and zero shares send nothing.
+    fn for_each_share(&self, g: &Graph, u: usize, mut ship: impl FnMut(usize, FixedQ)) {
+        let w = self.w[u];
+        if w.is_zero() {
+            return;
+        }
+        match &self.weights {
+            None => {
+                let d = g.degree(u);
+                if d == 0 {
+                    return;
+                }
+                let share = self.divide(w, self.kd() * d);
+                if !share.is_zero() {
+                    g.neighbors(u).for_each(|v| ship(v, share));
+                }
+            }
+            Some(qw) => {
+                let den = self.kd() as u128 * qw.wdegq[u];
+                for (v, &wq) in g.neighbors(u).zip(qw.row(g, u)) {
+                    let share = self.scale.mul_div_round(w, wq as u128, den);
+                    if !share.is_zero() {
+                        ship(v, share);
+                    }
+                }
+            }
         }
     }
 
-    /// Advance one step (one CONGEST round of Algorithm 1's loop body).
-    pub fn step(&mut self, g: &Graph) {
-        let mut next: Vec<FixedQ> = (0..g.n())
-            .map(|u| Self::keep_of(&self.scale, self.rounding, self.kind, self.w[u]))
-            .collect();
-        for u in 0..g.n() {
-            if self.w[u].is_zero() {
-                continue; // silent node, as in Algorithm 1 step 3
-            }
-            let d = g.degree(u);
-            if d == 0 {
-                continue;
-            }
-            let share = Self::share_of(&self.scale, self.rounding, self.kind, self.w[u], d);
-            if share.is_zero() {
-                continue;
-            }
-            for v in g.neighbors(u) {
+    /// Advance one step (one CONGEST round of Algorithm 1's loop body) on
+    /// the walk's topology `g`, and return the number of nonzero per-edge
+    /// shares shipped: the round's messages.
+    pub fn step(&mut self, g: &Graph) -> u64 {
+        let mut next = std::mem::take(&mut self.next);
+        next.clear();
+        next.extend((0..self.w.len()).map(|u| self.keep(u)));
+        let mut shipped = 0;
+        for u in 0..self.w.len() {
+            self.for_each_share(g, u, |v, share| {
                 next[v] = self.scale.add(next[v], share);
-            }
+                shipped += 1;
+            });
         }
-        self.w = next;
+        self.next = std::mem::replace(&mut self.w, next);
         self.t += 1;
+        shipped
     }
 
-    /// Run `steps` more steps.
-    pub fn run(&mut self, g: &Graph, steps: usize) {
-        for _ in 0..steps {
-            self.step(g);
+    /// The number of nonzero per-edge shares the next [`Self::step`] will
+    /// ship, without taking it.
+    pub fn pending_shares(&self, g: &Graph) -> u64 {
+        let mut count = 0;
+        for u in 0..self.w.len() {
+            self.for_each_share(g, u, |_, _| count += 1);
         }
+        count
+    }
+
+    /// Run `steps` more steps; returns the shares shipped.
+    pub fn run(&mut self, g: &Graph, steps: usize) -> u64 {
+        (0..steps).map(|_| self.step(g)).sum()
     }
 
     /// Current estimate as an `f64` distribution `p̃_t`.
@@ -148,11 +217,6 @@ impl FixedWalk {
         self.t as f64 * (d_max + lazy_extra) as f64 / (2.0 * self.scale.denominator() as f64)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Weighted Algorithm 1: quantized edge weights + the weighted share/keep
-// arithmetic shared with the distributed implementation.
-// ---------------------------------------------------------------------------
 
 /// Edge weights quantized to integer numerators for the weighted wire
 /// protocol.
@@ -247,137 +311,6 @@ impl QuantizedWeights {
     }
 }
 
-/// Weighted per-edge share: `nint(w·ω/(kd·Ω))` where `ω` is the quantized
-/// edge weight, `Ω` the quantized walk degree, and `kd` 1 (simple) or 2
-/// (lazy). Exact integer arithmetic; shared by the centralized reference
-/// ([`WeightedFixedWalk`]) and the distributed flood
-/// (`lmt-congest::flood`), which must stay bit-identical.
-#[inline]
-pub fn weighted_share_of(
-    scale: &FixedScale,
-    kind: WalkKind,
-    w: FixedQ,
-    edge_wq: u64,
-    wdegq: u128,
-) -> FixedQ {
-    let den = match kind {
-        WalkKind::Simple => wdegq,
-        WalkKind::Lazy => 2 * wdegq,
-    };
-    scale.mul_div_round(w, edge_wq as u128, den)
-}
-
-/// Weighted retained part: the lazy half (`nint(w/2)`) plus the self-loop
-/// share (`nint(w·loopq/(kd·Ω))`). Zero for simple walks on loop-free
-/// graphs — matching [`FixedWalk::keep_of`] exactly.
-#[inline]
-pub fn weighted_keep_of(
-    scale: &FixedScale,
-    kind: WalkKind,
-    w: FixedQ,
-    loopq: u64,
-    wdegq: u128,
-) -> FixedQ {
-    let lazy_half = match kind {
-        WalkKind::Simple => scale.zero(),
-        WalkKind::Lazy => scale.div_round(w, 2),
-    };
-    if loopq == 0 {
-        return lazy_half;
-    }
-    scale.add(lazy_half, weighted_share_of(scale, kind, w, loopq, wdegq))
-}
-
-/// Centralized reference of the **weighted** Algorithm 1: the fixed-point
-/// flood on a [`WeightedGraph`] with quantized weights. The distributed
-/// implementation in `lmt-congest::flood` shares [`weighted_share_of`] /
-/// [`weighted_keep_of`] and must agree with this iteration bit-for-bit.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedFixedWalk {
-    /// Shared scale `q = n^c`.
-    pub scale: FixedScale,
-    /// The quantized weights driving the shares.
-    pub qw: QuantizedWeights,
-    /// Current weights `w_t(u)`.
-    pub w: Vec<FixedQ>,
-    /// Steps taken so far.
-    pub t: usize,
-    kind: WalkKind,
-}
-
-impl WeightedFixedWalk {
-    /// Initialize at the point mass on `src` with scale `n^c`.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range or isolated (zero walk degree) —
-    /// the point mass could never move, and the flood would silently
-    /// drain it.
-    pub fn new(wg: &WeightedGraph, src: usize, c: u32, kind: WalkKind) -> Self {
-        assert!(src < wg.n(), "source out of range");
-        assert!(
-            wg.weighted_degree(src) > 0.0,
-            "source {src} is an isolated node (degree 0)"
-        );
-        let scale = FixedScale::new(wg.n(), c);
-        let mut w = vec![scale.zero(); wg.n()];
-        w[src] = scale.one();
-        WeightedFixedWalk {
-            scale,
-            qw: QuantizedWeights::new(wg),
-            w,
-            t: 0,
-            kind,
-        }
-    }
-
-    /// Advance one step (one CONGEST round of the weighted Algorithm 1).
-    pub fn step(&mut self, wg: &WeightedGraph) {
-        let topo = wg.topology();
-        let mut next: Vec<FixedQ> = (0..wg.n())
-            .map(|u| {
-                weighted_keep_of(
-                    &self.scale,
-                    self.kind,
-                    self.w[u],
-                    self.qw.loopq[u],
-                    self.qw.wdegq[u],
-                )
-            })
-            .collect();
-        for u in 0..wg.n() {
-            if self.w[u].is_zero() {
-                continue; // silent node, as in Algorithm 1 step 3
-            }
-            let row = self.qw.row(topo, u);
-            if row.is_empty() {
-                continue;
-            }
-            for (i, v) in topo.neighbors(u).enumerate() {
-                let share =
-                    weighted_share_of(&self.scale, self.kind, self.w[u], row[i], self.qw.wdegq[u]);
-                if share.is_zero() {
-                    continue;
-                }
-                next[v] = self.scale.add(next[v], share);
-            }
-        }
-        self.w = next;
-        self.t += 1;
-    }
-
-    /// Run `steps` more steps.
-    pub fn run(&mut self, wg: &WeightedGraph, steps: usize) {
-        for _ in 0..steps {
-            self.step(wg);
-        }
-    }
-
-    /// Current estimate as an `f64` distribution `p̃_t`.
-    pub fn to_dist(&self) -> Dist {
-        Dist::from_vec(self.w.iter().map(|&v| self.scale.to_f64(v)).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,10 +378,7 @@ mod tests {
             let est = fw.to_dist();
             let bound = fw.error_bound(&g) + 1e-12;
             for v in 0..16 {
-                assert!(
-                    (est.get(v) - exact.get(v)).abs() <= bound,
-                    "t={t} v={v}"
-                );
+                assert!((est.get(v) - exact.get(v)).abs() <= bound, "t={t} v={v}");
             }
         }
         // And it actually approaches uniform (mixes), unlike the simple walk.
@@ -459,16 +389,15 @@ mod tests {
     #[test]
     fn weighted_unit_flood_bit_identical_to_unweighted() {
         // The quantization scale cancels at uniform weights: the weighted
-        // reference must reproduce FixedWalk exactly, numerator for
-        // numerator, at every step — simple and lazy.
+        // walk must reproduce the unweighted one exactly, numerator for
+        // numerator and share for share, at every step — simple and lazy.
         let (g, _) = gen::barbell(3, 5);
         let wg = lmt_graph::WeightedGraph::unit(g.clone());
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
             let mut fw = FixedWalk::new(&g, 2, 6, Rounding::Nearest, kind);
-            let mut wfw = WeightedFixedWalk::new(&wg, 2, 6, kind);
+            let mut wfw = FixedWalk::weighted(&wg, 2, 6, kind);
             for t in 1..=40 {
-                fw.step(&g);
-                wfw.step(&wg);
+                assert_eq!(fw.step(&g), wfw.step(&g), "kind={kind:?} t={t}");
                 assert_eq!(fw.w, wfw.w, "kind={kind:?} t={t}");
             }
         }
@@ -480,10 +409,10 @@ mod tests {
         // a Lemma 2-style bound (coarse: d_max half-ulps per step, plus the
         // weight quantization's sub-ulp drift).
         let wg = gen::weighted::random_weights(gen::grid(3, 3), 0.5, 2.0, 5);
-        let mut wfw = WeightedFixedWalk::new(&wg, 0, 6, WalkKind::Simple);
+        let mut wfw = FixedWalk::weighted(&wg, 0, 6, WalkKind::Simple);
         let q = 9f64.powi(6);
         for t in 1..=30 {
-            wfw.step(&wg);
+            wfw.step(wg.topology());
             let exact = evolve_block(&wg, &[0], WalkKind::Simple, t).remove(0);
             let est = wfw.to_dist();
             let bound = t as f64 * (4.0 + 1.0) / (2.0 * q) + t as f64 * 1e-5;
@@ -501,10 +430,41 @@ mod tests {
     #[test]
     fn weighted_flood_mass_stays_near_one() {
         let (wg, _) = gen::weighted_barbell(3, 4, 0.5);
-        let mut wfw = WeightedFixedWalk::new(&wg, 0, 6, WalkKind::Lazy);
-        wfw.run(&wg, 100);
+        let mut wfw = FixedWalk::weighted(&wg, 0, 6, WalkKind::Lazy);
+        wfw.run(wg.topology(), 100);
         let m = wfw.to_dist().mass();
         assert!((m - 1.0).abs() < 1e-3, "mass drifted to {m}");
+    }
+
+    #[test]
+    #[should_panic(expected = "flood source 3 is an isolated node")]
+    fn isolated_source_is_rejected() {
+        // Unchecked, a simple walk would lose the point mass in one step and
+        // a lazy walk would halve it every step, silently.
+        let mut b = lmt_graph::GraphBuilder::new(4);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        let _ = FixedWalk::new(&b.build(), 3, 6, Rounding::Nearest, WalkKind::Lazy);
+    }
+
+    #[test]
+    fn step_counts_nonzero_shares() {
+        // Path 0-1-2-3 from node 1 at c = 1 (q = 4): node 1 ships 2 to each
+        // neighbor, then node 0 (d = 1) ships 2 and node 2 (d = 2) ships 1
+        // to each of its neighbors.
+        let g = gen::path(4);
+        let mut fw = FixedWalk::new(&g, 1, 1, Rounding::Nearest, WalkKind::Simple);
+        assert_eq!(fw.pending_shares(&g), 2);
+        assert_eq!(fw.run(&g, 2), 2 + 3);
+        let nums: Vec<u128> = fw.w.iter().map(|w| w.numerator()).collect();
+        assert_eq!(nums, [0, 3, 0, 1]);
+        // K4 from node 0 at q = 4: each neighbor receives nint(4/3) = 1,
+        // whose own shares nint(1/3) round to zero and are not sent.
+        let k4 = gen::complete(4);
+        let mut fw = FixedWalk::new(&k4, 0, 1, Rounding::Nearest, WalkKind::Simple);
+        assert_eq!(fw.step(&k4), 3);
+        assert_eq!(fw.pending_shares(&k4), 0);
+        assert_eq!(fw.step(&k4), 0);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! power iteration of walk distributions, stationary distributions, global
 //! mixing times (Definition 1), and the ground-truth **local mixing time**
 //! `τ_s(β, ε)` (Definition 2) against which the distributed algorithms in
-//! `lmt-core` are validated. The fixed-point flooding model of the paper's
-//! Algorithm 1 also has its centralized reference here ([`fixed_flood`]),
-//! so the CONGEST implementation can be checked bit-for-bit.
+//! `lmt-core` are validated. The paper's Algorithm 1, fixed-point
+//! flooding, is implemented here once ([`fixed_flood`]); `lmt-congest`
+//! meters its shares as CONGEST messages.
 //!
 //! The whole stack is generic over the [`WalkGraph`] trait
 //! (re-exported from `lmt-graph`), so every operator runs on plain
@@ -46,10 +46,10 @@
 //!   bit-for-bit for any `(β, ε)` without re-running the walk, plus the
 //!   resume distribution for extending the walk later. The cache substrate
 //!   of the `lmt-service` query layer.
-//! * [`fixed_flood`] — the centralized references of Algorithm 1
-//!   (rounding to multiples of `1/n^c`): [`fixed_flood::FixedWalk`] and
-//!   the weighted [`fixed_flood::WeightedFixedWalk`] with quantized edge
-//!   weights ([`fixed_flood::QuantizedWeights`]).
+//! * [`fixed_flood`] — Algorithm 1 (rounding to multiples of `1/n^c`):
+//!   [`fixed_flood::FixedWalk`], unweighted or over quantized edge weights
+//!   ([`fixed_flood::QuantizedWeights`]); each step returns the number of
+//!   nonzero shares it shipped.
 //! * [`sampler`] — token-level random-walk endpoint sampling (the Das Sarma
 //!   et al. baseline ingredient), weighted-transition aware.
 //!

@@ -177,7 +177,10 @@ impl std::fmt::Display for LocalMixError {
                 write!(f, "no local-mixing set found within {t} steps")
             }
             LocalMixError::NotRegular => {
-                write!(f, "window oracle requires a regular graph (paper §3 assumption)")
+                write!(
+                    f,
+                    "window oracle requires a regular graph (paper §3 assumption)"
+                )
             }
         }
     }
@@ -1054,10 +1057,13 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0] < w[1]);
         }
-        let all = size_grid(16, &LocalMixOptions {
-            grid: SizeGrid::All,
-            ..opts(4.0)
-        });
+        let all = size_grid(
+            16,
+            &LocalMixOptions {
+                grid: SizeGrid::All,
+                ..opts(4.0)
+            },
+        );
         assert_eq!(all, (4..=16).collect::<Vec<_>>());
     }
 

@@ -41,7 +41,10 @@ impl std::fmt::Display for MixingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MixingError::NotMixedWithin(t) => {
-                write!(f, "walk did not ε-mix within {t} steps (bipartite graph with a simple walk?)")
+                write!(
+                    f,
+                    "walk did not ε-mix within {t} steps (bipartite graph with a simple walk?)"
+                )
             }
         }
     }
@@ -144,7 +147,12 @@ pub fn graph_mixing_time<G: WalkGraph + ?Sized>(
 ///
 /// # Panics
 /// As [`mixing_time`]: `src` must be in range and non-isolated.
-pub fn l1_trace<G: WalkGraph + ?Sized>(g: &G, src: usize, kind: WalkKind, t_max: usize) -> Vec<f64> {
+pub fn l1_trace<G: WalkGraph + ?Sized>(
+    g: &G,
+    src: usize,
+    kind: WalkKind,
+    t_max: usize,
+) -> Vec<f64> {
     crate::step::assert_source(g, src, "l1_trace");
     let pi = stationary(g);
     let mut ev = BlockEvolution::new(g, &[src], kind);
@@ -288,7 +296,9 @@ mod tests {
         // monotone-decreasing in the bridge weight.
         let tau = |w: f64| {
             let (g, _) = gen::weighted_barbell(3, 6, w);
-            mixing_time(&g, 0, EPS, WalkKind::Lazy, 200_000).unwrap().tau
+            mixing_time(&g, 0, EPS, WalkKind::Lazy, 200_000)
+                .unwrap()
+                .tau
         };
         let (slow, unit, fast) = (tau(0.25), tau(1.0), tau(4.0));
         assert!(

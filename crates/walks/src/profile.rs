@@ -292,7 +292,10 @@ mod tests {
             }
             ev.step();
         }
-        assert_eq!(curve.support().iter().collect::<Vec<_>>(), (0..6).collect::<Vec<_>>());
+        assert_eq!(
+            curve.support().iter().collect::<Vec<_>>(),
+            (0..6).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -130,7 +130,10 @@ mod tests {
         let mut s = BitSet::new(g.n());
         s.insert(1);
         s.insert(6);
-        assert_eq!(stationary_restricted(&g, &s), stationary_restricted(&wg, &s));
+        assert_eq!(
+            stationary_restricted(&g, &s),
+            stationary_restricted(&wg, &s)
+        );
     }
 
     #[test]

@@ -160,7 +160,9 @@ mod tests {
         use lmt_graph::WalkGraph;
         let total = g.total_walk_weight();
         let pi = Dist::from_vec(
-            (0..WalkGraph::n(&g)).map(|v| g.weighted_degree(v) / total).collect(),
+            (0..WalkGraph::n(&g))
+                .map(|v| g.weighted_degree(v) / total)
+                .collect(),
         );
         let stepped = step(&g, &pi, WalkKind::Simple);
         assert!(pi.l1_distance(&stepped) < 1e-12);
@@ -199,7 +201,8 @@ mod tests {
         // turns the simple weighted walk into the lazy walk of the base
         // graph (footnote 5's fix as a weight, not a special case).
         let base = gen::hypercube(3);
-        let lazy_as_loops = gen::weighted::lazy_loops(&lmt_graph::WeightedGraph::unit(base.clone()));
+        let lazy_as_loops =
+            gen::weighted::lazy_loops(&lmt_graph::WeightedGraph::unit(base.clone()));
         let mut p_lazy = Dist::point(8, 0);
         let mut p_loop = p_lazy.clone();
         for _ in 0..25 {

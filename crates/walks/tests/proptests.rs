@@ -2,13 +2,13 @@
 //! fixed-point error bounds, and distribution invariants.
 
 use lmt_graph::{gen, props};
+use lmt_walks::engine::evolve_block;
 use lmt_walks::fixed_flood::{FixedWalk, Rounding};
 use lmt_walks::local::{
     brute_force_local_mixing_time, check_dist, local_mixing_time, LocalMixOptions, SizeGrid,
 };
 use lmt_walks::mixing::mixing_time;
 use lmt_walks::stationary::stationary;
-use lmt_walks::engine::evolve_block;
 use lmt_walks::step::{step, WalkKind};
 use proptest::prelude::*;
 

@@ -111,7 +111,9 @@ proptest! {
     }
 
     /// Probability flooding (Algorithm 1's substrate): fixed-point weight
-    /// vectors and metrics.
+    /// vectors and metrics. (The flood runs no engine, so `engine` is
+    /// ignored — this pins run-to-run determinism across pool widths and
+    /// guards the contract if the flood ever gains a parallel path.)
     #[test]
     fn flood_parallel_equals_sequential((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);

@@ -182,11 +182,13 @@ fn incremental_flood_pinned() {
     let g = unweighted();
     let mut h = Fnv::new();
     for kind in [WalkKind::Simple, WalkKind::Lazy] {
-        for engine in [EngineKind::Sequential, EngineKind::Parallel] {
-            let mut inc = IncrementalFlood::new(&g, 7, 6, kind, olog_budget(g.n(), 10), engine, 3);
+        // Two identical legs: the digest was recorded with one leg per
+        // engine, before the flood stopped running on one.
+        for _ in 0..2 {
+            let mut inc = IncrementalFlood::new(&g, 7, 6, kind, olog_budget(g.n(), 10));
             for _ in 0..3 {
                 for _ in 0..5 {
-                    inc.advance().unwrap();
+                    inc.advance();
                 }
                 h.eat(inc.ell());
                 h.flood(&inc.weights(), inc.scale(), &inc.metrics());
@@ -194,4 +196,49 @@ fn incremental_flood_pinned() {
         }
     }
     assert_eq!(h.0, 0x102c_e8ae_a730_273d);
+}
+
+/// Algorithm 1 at `c = 2`, where many per-edge shares round to zero and are
+/// not sent (the pins above run at `c = 6` on 16 nodes, where none may):
+/// `estimate_flood` from three sources under both walk kinds.
+fn silent_share_digest<G: FloodGraph + ?Sized>(g: &G) -> u64 {
+    let mut h = Fnv::new();
+    let n = g.n();
+    for kind in [WalkKind::Simple, WalkKind::Lazy] {
+        for (src, ell) in [(0, 1), (n / 2, 12), (n - 1, 40)] {
+            let budget = olog_budget(n, 10);
+            let (w, scale, m) = g
+                .estimate_flood(src, ell, 2, kind, budget, EngineKind::Sequential, 5)
+                .expect("flood");
+            h.flood(&w, scale, &m);
+        }
+    }
+    h.0
+}
+
+#[test]
+fn flood_with_silent_shares_pinned() {
+    let expander = gen::random_regular(512, 8, 3);
+    assert_eq!(silent_share_digest(&expander), 0x28b7_c071_9e53_a609);
+    assert_eq!(silent_share_digest(&gen::path(40)), 0x0983_5635_928e_39e9);
+    let wg = gen::weighted::random_weights(gen::random_regular(256, 6, 9), 0.5, 3.0, 0xA1);
+    assert_eq!(silent_share_digest(&wg), 0xc4e9_155f_6ac7_a59b);
+}
+
+#[test]
+fn incremental_flood_with_silent_shares_pinned() {
+    let mut h = Fnv::new();
+    for g in [gen::random_regular(512, 8, 3), gen::path(40)] {
+        for kind in [WalkKind::Simple, WalkKind::Lazy] {
+            let mut inc = IncrementalFlood::new(&g, 1, 2, kind, olog_budget(g.n(), 10));
+            for _ in 0..4 {
+                for _ in 0..10 {
+                    inc.advance();
+                }
+                h.eat(inc.ell());
+                h.flood(&inc.weights(), inc.scale(), &inc.metrics());
+            }
+        }
+    }
+    assert_eq!(h.0, 0x96a2_4cf4_ea39_3b77);
 }
