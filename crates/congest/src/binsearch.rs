@@ -9,16 +9,29 @@
 //!    `x_mid` down the BFS tree, convergecast the count of *qualified* nodes
 //!    (`x_u ≤ x_mid`), and halve the range until the smallest threshold `T`
 //!    with `count(≤ T) ≥ R` is found;
-//! 3. broadcast `T` and convergecast the qualified sum.
+//! 3. broadcast `T` and convergecast the qualified count and sum.
 //!
-//! All of a call's phases — `2·iterations + 5` of them — run on **one**
-//! flat layout of the tree, built at the start of the call (see the
-//! [`crate::tree`] docs): a broadcast costs nothing to deliver, and a
-//! convergecast is one reverse-BFS pass over the members' values, which the
-//! call keeps in BFS order. Rounds, messages and bits are exactly those of
-//! the message-passing protocol on a fresh full-graph network per phase.
-//! Like every tree phase, the search is sequential: `engine` does not
-//! affect it, and `seed` only feeds the [`TieBreak::RandomJitter`] draws.
+//! The phases are charged exactly what the message-passing protocol costs
+//! on a full-graph network (see the [`crate::tree`] docs), but a
+//! convergecast is not run as a pass over the tree. Its cost is closed
+//! form: with `m` members and a tree of depth `d` it takes `d` rounds and
+//! `m − 1` messages, and if `q` non-root members have a qualifying value in
+//! their subtree (subtree minimum `≤` the threshold), those `q` report
+//! `1 + width` bits and the others a 1-bit empty report. So each call
+//! computes every member's subtree minimum once, in one reverse-BFS pass,
+//! and each threshold then needs only two ranks, `#{x ≤ t}` and
+//! `#{subtree-min ≤ t}`. Both come from candidate vectors that keep only
+//! the values still inside the search range `[lo, hi]`, plus the count (and
+//! sum) of those already below `lo`, so the work per iteration shrinks with
+//! the range. A phase whose widest report would exceed the budget runs on
+//! the flat kernel instead, which names the exact
+//! [`RunError::BudgetExceeded`].
+//!
+//! [`RSmallestSearch`] lays the tree out once and serves many searches on
+//! it (Algorithm 2 runs one per grid size at each length);
+//! [`sum_of_r_smallest`] is the one-shot form. The search is sequential:
+//! `engine` does not affect it, and `seed` only feeds the
+//! [`TieBreak::RandomJitter`] draws.
 //!
 //! **Tie handling.** The paper has every node add a small random jitter
 //! `r_u ∈ [1/n⁸, 1/n⁴]` so all values are distinct whp and the count can hit
@@ -62,28 +75,6 @@ pub struct RSmallestResult {
     pub iterations: u32,
 }
 
-/// Convergecast over the tree members qualified by the last broadcast
-/// threshold `t` (`work[i] ≤ t`, `work` in BFS order): their count, or with
-/// `sum` the sum of their values, in `width`-bit fields.
-fn tally(
-    flat: &mut FlatTree,
-    work: &[u128],
-    t: u128,
-    sum: bool,
-    width: u32,
-    total: &mut Metrics,
-) -> Result<u128, RunError> {
-    let (res, m) = flat.convergecast(Op::Sum, |i| {
-        let v = work[i];
-        (v <= t).then_some(Wide {
-            value: if sum { v } else { 1 },
-            width,
-        })
-    })?;
-    total.absorb(&m);
-    Ok(res.map_or(0, |v| v.value))
-}
-
 /// Virtual contribution of the nodes *outside* a depth-limited BFS tree.
 ///
 /// Algorithm 2 builds trees of depth `min{D, ℓ}`, but a node at distance
@@ -100,14 +91,226 @@ pub struct Outside {
     pub value: u128,
 }
 
-/// The distributed sum-of-R-smallest routine (§3.1).
+/// The values of a search still inside its range `[lo, hi]`, and the count
+/// and sum of those already below `lo`.
+#[derive(Default)]
+struct Ranked {
+    live: Vec<u128>,
+    below: u128,
+    below_sum: u128,
+}
+
+impl Ranked {
+    fn reset(&mut self, values: &[u128]) {
+        self.live.clear();
+        self.live.extend_from_slice(values);
+        self.below = 0;
+        self.below_sum = 0;
+    }
+
+    /// `#{x ≤ t}`, for `t ≥` the last `lo`.
+    fn count_le(&self, t: u128) -> u128 {
+        self.below + self.live.iter().filter(|&&v| v <= t).count() as u128
+    }
+
+    /// `Σ{x ≤ t}`, for `t ≥` the last `lo`.
+    fn sum_le(&self, t: u128) -> u128 {
+        self.below_sum + self.live.iter().filter(|&&v| v <= t).sum::<u128>()
+    }
+
+    /// The range became `[lo, mid]` (`keep_low`) or `[mid + 1, hi]`.
+    fn narrow(&mut self, mid: u128, keep_low: bool) {
+        if keep_low {
+            self.live.retain(|&v| v <= mid);
+            return;
+        }
+        let (below, below_sum) = (&mut self.below, &mut self.below_sum);
+        self.live.retain(|&v| {
+            if v <= mid {
+                *below += 1;
+                *below_sum += v;
+            }
+            v > mid
+        });
+    }
+}
+
+/// A BFS tree laid out for §3.1 searches, with the scratch they reuse:
+/// build it once per tree and call [`RSmallestSearch::run`] per value
+/// vector.
+pub struct RSmallestSearch {
+    flat: FlatTree,
+    /// Node count of the graph.
+    n: usize,
+    /// The current search's working values in BFS order (jittered under
+    /// [`TieBreak::RandomJitter`]), and their subtree minima.
+    work: Vec<u128>,
+    mins: Vec<u128>,
+    /// Working values, and non-root subtree minima, inside the range.
+    values: Ranked,
+    subtrees: Ranked,
+}
+
+impl RSmallestSearch {
+    /// Lay `tree` out for searches under a `budget_bits` per-edge budget.
+    pub fn new(tree: &BfsTree, budget_bits: u32) -> Self {
+        RSmallestSearch {
+            flat: FlatTree::new(tree, budget_bits),
+            n: tree.dist.len(),
+            work: Vec::new(),
+            mins: Vec::new(),
+            values: Ranked::default(),
+            subtrees: Ranked::default(),
+        }
+    }
+
+    /// Charge a convergecast whose `q` non-root reporters carry `width`-bit
+    /// partials of the members with working value `≤ t` (all members when
+    /// `t` is `u128::MAX`): closed form, or the flat pass's budget error.
+    fn convergecast(
+        &mut self,
+        q: u128,
+        width: u32,
+        t: u128,
+        total: &mut Metrics,
+    ) -> Result<(), RunError> {
+        if let Some(m) = self.flat.convergecast_cost(q as u64, width) {
+            total.absorb(&m);
+            return Ok(());
+        }
+        let work = &self.work;
+        let contribute = |i: usize| (work[i] <= t).then_some(Wide { value: 1, width });
+        Err(self
+            .flat
+            .convergecast(Op::Sum, contribute)
+            .expect_err("a report over the budget fails the pass"))
+    }
+
+    /// The sum of the `r` smallest of `value(u)` over all `n` nodes — the
+    /// tree's members, plus `outside` for the unreached ones (their
+    /// `value` is never called) — with `value_width`-bit values.
+    pub fn run(
+        &mut self,
+        value: impl Fn(usize) -> u128,
+        r: usize,
+        value_width: u32,
+        tie: TieBreak,
+        outside: Option<Outside>,
+        seed: u64,
+    ) -> Result<(RSmallestResult, Metrics), RunError> {
+        let n = self.n;
+        assert!(r >= 1 && r <= n, "R must be in [1, n], got {r}");
+        let out_count = outside.map_or(0, |o| o.count);
+        let m = self.flat.members().len();
+        assert_eq!(
+            m as u128 + out_count,
+            n as u128,
+            "outside.count must cover exactly the unreached nodes"
+        );
+        let mut total = Metrics::default();
+
+        // Jitter preprocessing: each node appends random low-order bits
+        // locally (node-local randomness; modelled by a per-node fork of
+        // the seed).
+        let (work_width, jbits) = match tie {
+            TieBreak::ThresholdCorrection => (value_width, 0),
+            TieBreak::RandomJitter { bits } => {
+                assert!(bits > 0 && bits <= 32, "jitter bits out of range");
+                (value_width + bits, bits)
+            }
+        };
+        self.work.clear();
+        self.work.extend(self.flat.members().iter().map(|&u| {
+            let v = value(u as usize);
+            if jbits == 0 {
+                return v;
+            }
+            let mut rng = fork(seed ^ 0x71E_B4EA, u as u64);
+            (v << jbits) | rng.gen_range(0..(1u128 << jbits))
+        }));
+        self.flat.subtree_min(&self.work, &mut self.mins);
+        self.values.reset(&self.work);
+        self.subtrees.reset(&self.mins[1..]);
+
+        // The outside value lives on the jittered scale too (shifted, no
+        // jitter bits needed: it only has to order correctly against
+        // jittered values, and `v << bits ≤ jittered(v) < (v+1) << bits`
+        // keeps ranks aligned).
+        let outside_work = outside.map(|o| Outside {
+            count: o.count,
+            value: o.value << jbits,
+        });
+
+        // Phase 1: min and max over tree nodes (every non-root member
+        // reports), folded with the outside value.
+        for _ in [Op::Min, Op::Max] {
+            self.convergecast(m as u128 - 1, work_width, u128::MAX, &mut total)?;
+        }
+        let mut lo = self.mins[0];
+        let mut hi = *self.work.iter().max().expect("the root is a member");
+        if let Some(o) = outside_work {
+            if o.count > 0 {
+                lo = lo.min(o.value);
+                hi = hi.max(o.value);
+            }
+        }
+        let outside_le = |t: u128| outside_work.filter(|o| o.value <= t);
+
+        // Phase 2: smallest T with count(≤ T) ≥ R.
+        let count_width = id_bits(n) + 1;
+        let mut iterations = 0;
+        while lo < hi {
+            iterations += 1;
+            let mid = lo + (hi - lo) / 2;
+            total.absorb(&self.flat.broadcast(Wide::new(mid, work_width))?);
+            let q = self.subtrees.count_le(mid);
+            self.convergecast(q, count_width, mid, &mut total)?;
+            let count = self.values.count_le(mid) + outside_le(mid).map_or(0, |o| o.count);
+            let keep_low = count >= r as u128;
+            if keep_low {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+            self.values.narrow(mid, keep_low);
+            self.subtrees.narrow(mid, keep_low);
+        }
+        let t = lo;
+
+        // Phase 3: qualified count and sum (the count for the correction).
+        total.absorb(&self.flat.broadcast(Wide::new(t, work_width))?);
+        let q = self.subtrees.count_le(t);
+        self.convergecast(q, count_width, t, &mut total)?;
+        let sum_width = work_width + id_bits(n) + 1;
+        self.convergecast(q, sum_width, t, &mut total)?;
+        let mut count = self.values.count_le(t);
+        let mut qsum = self.values.sum_le(t);
+        if let Some(o) = outside_le(t) {
+            count += o.count;
+            qsum += o.count * o.value;
+        }
+        debug_assert!(count >= r as u128, "threshold search postcondition");
+
+        // Exact correction: surplus qualified entries all equal T.
+        let corrected = qsum - (count - r as u128) * t;
+        let result = RSmallestResult {
+            sum: corrected >> jbits,
+            threshold: t >> jbits,
+            iterations,
+        };
+        Ok((result, total))
+    }
+}
+
+/// The distributed sum-of-R-smallest routine (§3.1), one-shot.
 ///
 /// `values[u]` is node `u`'s local fixed-point numerator `x_u`;
 /// `value_width` its wire width. `tree` is the BFS tree rooted at the
 /// querying source; if it is depth-limited, pass the unreached nodes'
 /// common value via `outside` (their `values[…]` entries are ignored).
-/// The tree phases are sequential, so `engine` does not affect the run;
-/// `seed` drives only the jitter of [`TieBreak::RandomJitter`].
+/// The search is sequential, so `engine` does not affect the run; `seed`
+/// drives only the jitter of [`TieBreak::RandomJitter`]. To run many
+/// searches on one tree, lay it out once with [`RSmallestSearch`].
 #[allow(clippy::too_many_arguments)]
 pub fn sum_of_r_smallest(
     g: &Graph,
@@ -122,112 +325,7 @@ pub fn sum_of_r_smallest(
     seed: u64,
 ) -> Result<(RSmallestResult, Metrics), RunError> {
     assert_eq!(values.len(), g.n(), "one value per node required");
-    assert!(r >= 1 && r <= g.n(), "R must be in [1, n], got {r}");
-    let out_count = outside.map_or(0, |o| o.count);
-    assert_eq!(
-        tree.reached() as u128 + out_count,
-        g.n() as u128,
-        "outside.count must cover exactly the unreached nodes"
-    );
-    // Every phase below runs on one flat layout of the tree; `work[i]` is
-    // the working value of the member at BFS position `i`.
-    let mut flat = FlatTree::new(tree, budget_bits);
-    let mut total = Metrics::default();
-
-    // Jitter preprocessing: each node appends random low-order bits locally
-    // (node-local randomness; modelled by a per-node fork of the seed).
-    let (work_width, jbits) = match tie {
-        TieBreak::ThresholdCorrection => (value_width, 0),
-        TieBreak::RandomJitter { bits } => {
-            assert!(bits > 0 && bits <= 32, "jitter bits out of range");
-            (value_width + bits, bits)
-        }
-    };
-    let work: Vec<u128> = flat
-        .members()
-        .iter()
-        .map(|&u| {
-            let v = values[u as usize];
-            if jbits == 0 {
-                return v;
-            }
-            let mut rng = fork(seed ^ 0x71E_B4EA, u as u64);
-            (v << jbits) | rng.gen_range(0..(1u128 << jbits))
-        })
-        .collect();
-
-    // The outside value lives on the jittered scale too (shifted, no jitter
-    // bits needed: it only has to order correctly against jittered values,
-    // and `v << bits ≤ jittered(v) < (v+1) << bits` keeps ranks aligned).
-    let outside_work = outside.map(|o| Outside {
-        count: o.count,
-        value: o.value << jbits,
-    });
-
-    // Phase 1: min and max over tree nodes, folded with the outside value.
-    let mut extreme = |op| {
-        let (res, m) = flat.convergecast(op, |i| Some(Wide::new(work[i], work_width)))?;
-        total.absorb(&m);
-        Ok::<_, RunError>(res.expect("an extreme over ≥ 1 tree nodes").value)
-    };
-    let mut lo = extreme(Op::Min)?;
-    let mut hi = extreme(Op::Max)?;
-    if let Some(o) = outside_work {
-        if o.count > 0 {
-            lo = lo.min(o.value);
-            hi = hi.max(o.value);
-        }
-    }
-
-    // Phase 2: smallest T with count(≤ T) ≥ R.
-    let count_width = id_bits(g.n()) + 1;
-    let mut iterations = 0;
-    while lo < hi {
-        iterations += 1;
-        let mid = lo + (hi - lo) / 2;
-        total.absorb(&flat.broadcast(Wide::new(mid, work_width))?);
-        let mut count = tally(&mut flat, &work, mid, false, count_width, &mut total)?;
-        if let Some(o) = outside_work {
-            if o.value <= mid {
-                count += o.count;
-            }
-        }
-        if count >= r as u128 {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let t = lo;
-
-    // Phase 3: qualified sum (and final count for the correction).
-    total.absorb(&flat.broadcast(Wide::new(t, work_width))?);
-    let mut count = tally(&mut flat, &work, t, false, count_width, &mut total)?;
-    let sum_width = work_width + id_bits(g.n()) + 1;
-    let mut qsum = tally(&mut flat, &work, t, true, sum_width, &mut total)?;
-    if let Some(o) = outside_work {
-        if o.value <= t {
-            count += o.count;
-            qsum += o.count * o.value;
-        }
-    }
-    debug_assert!(count >= r as u128, "threshold search postcondition");
-
-    // Exact correction: surplus qualified entries all equal T.
-    let corrected = qsum - (count - r as u128) * t;
-    let (sum, threshold) = if jbits > 0 {
-        (corrected >> jbits, t >> jbits)
-    } else {
-        (corrected, t)
-    };
-    Ok((
-        RSmallestResult {
-            sum,
-            threshold,
-            iterations,
-        },
-        total,
-    ))
+    RSmallestSearch::new(tree, budget_bits).run(|u| values[u], r, value_width, tie, outside, seed)
 }
 
 #[cfg(test)]
@@ -236,6 +334,7 @@ mod tests {
     use crate::bfs::build_bfs_tree;
     use crate::message::olog_budget;
     use lmt_graph::gen;
+    use proptest::prelude::*;
 
     fn setup(g: &Graph, src: usize) -> BfsTree {
         build_bfs_tree(
@@ -403,5 +502,155 @@ mod tests {
         assert_eq!(res.sum, 21);
         assert_eq!(res.threshold, 7);
         assert_eq!(res.iterations, 0); // lo == hi immediately
+    }
+
+    /// The search as a sequence of flat-kernel phases, one convergecast
+    /// pass per count and sum: the implementation the ranked search
+    /// replaced, kept as its differential oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn flat_reference(
+        g: &Graph,
+        tree: &BfsTree,
+        values: &[u128],
+        r: usize,
+        value_width: u32,
+        tie: TieBreak,
+        outside: Option<Outside>,
+        budget_bits: u32,
+        seed: u64,
+    ) -> Result<(RSmallestResult, Metrics), RunError> {
+        let mut flat = FlatTree::new(tree, budget_bits);
+        let mut total = Metrics::default();
+        let jbits = match tie {
+            TieBreak::ThresholdCorrection => 0,
+            TieBreak::RandomJitter { bits } => bits,
+        };
+        let work_width = value_width + jbits;
+        let work: Vec<u128> = flat
+            .members()
+            .iter()
+            .map(|&u| {
+                let v = values[u as usize];
+                if jbits == 0 {
+                    return v;
+                }
+                let mut rng = fork(seed ^ 0x71E_B4EA, u as u64);
+                (v << jbits) | rng.gen_range(0..(1u128 << jbits))
+            })
+            .collect();
+        let outside = outside.map(|o| Outside {
+            count: o.count,
+            value: o.value << jbits,
+        });
+        let mut tally = |flat: &mut FlatTree, op, t: u128, sum: bool, width| {
+            let (res, m) = flat.convergecast(op, |i| {
+                let v = work[i];
+                (v <= t).then_some(Wide {
+                    value: if sum { v } else { 1 },
+                    width,
+                })
+            })?;
+            total.absorb(&m);
+            Ok::<_, RunError>(res.map_or(0, |v| v.value))
+        };
+        let extreme = |flat: &mut FlatTree, op| {
+            let (res, m) = flat.convergecast(op, |i| Some(Wide::new(work[i], work_width)))?;
+            Ok::<_, RunError>((res.unwrap().value, m))
+        };
+        let (mut lo, m_lo) = extreme(&mut flat, Op::Min)?;
+        let (mut hi, m_hi) = extreme(&mut flat, Op::Max)?;
+        let mut phases = vec![m_lo, m_hi];
+        if let Some(o) = outside.filter(|o| o.count > 0) {
+            lo = lo.min(o.value);
+            hi = hi.max(o.value);
+        }
+        let outside_le = |t: u128| outside.filter(|o| o.value <= t);
+        let count_width = id_bits(g.n()) + 1;
+        let mut iterations = 0;
+        while lo < hi {
+            iterations += 1;
+            let mid = lo + (hi - lo) / 2;
+            phases.push(flat.broadcast(Wide::new(mid, work_width))?);
+            let count = tally(&mut flat, Op::Sum, mid, false, count_width)?
+                + outside_le(mid).map_or(0, |o| o.count);
+            if count >= r as u128 {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let t = lo;
+        phases.push(flat.broadcast(Wide::new(t, work_width))?);
+        let sum_width = work_width + id_bits(g.n()) + 1;
+        let mut count = tally(&mut flat, Op::Sum, t, false, count_width)?;
+        let mut qsum = tally(&mut flat, Op::Sum, t, true, sum_width)?;
+        if let Some(o) = outside_le(t) {
+            count += o.count;
+            qsum += o.count * o.value;
+        }
+        for m in &phases {
+            total.absorb(m);
+        }
+        let corrected = qsum - (count - r as u128) * t;
+        let result = RSmallestResult {
+            sum: corrected >> jbits,
+            threshold: t >> jbits,
+            iterations,
+        };
+        Ok((result, total))
+    }
+
+    fn any_graph() -> impl Strategy<Value = Graph> {
+        (1usize..32, 0.05f64..0.6, any::<u64>())
+            .prop_map(|(n, p, seed)| gen::erdos_renyi(n, p, seed))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ranked search ≡ the flat kernel's phase-by-phase search:
+        /// the sum, threshold and iteration count, every [`Metrics`]
+        /// field and the [`RunError`], compared exactly. Trees are
+        /// spanning or depth-limited (limit 0 leaves the root alone), the
+        /// unreached nodes folded in through [`Outside`]; values are
+        /// heavy ties (0–3) or spread over 16 bits; both tie modes run;
+        /// budgets sit at, just below, and just above each message width
+        /// (the broadcast value, the min/max, count and sum reports).
+        #[test]
+        fn ranked_search_matches_flat_kernel(
+            g in any_graph(),
+            src_raw in any::<usize>(),
+            (limit_raw, ties, jitter) in (0u32..5, any::<bool>(), 0u32..4),
+            raw in proptest::collection::vec(any::<u16>(), 32),
+            (out_raw, r_raw, seed) in (any::<u16>(), any::<usize>(), any::<u64>()),
+            (pick, offset) in (0usize..5, 0u32..3),
+        ) {
+            let n = g.n();
+            let src = src_raw % n;
+            let limit = if limit_raw == 4 { u32::MAX } else { limit_raw };
+            let tree = build_bfs_tree(&g, src, limit, olog_budget(n, 8), EngineKind::Sequential, 1)
+                .unwrap()
+                .0;
+            let shrink = |v: u16| if ties { u128::from(v % 4) } else { u128::from(v) };
+            let values: Vec<u128> = raw[..n].iter().map(|&v| shrink(v)).collect();
+            let value_width = if ties { 2 } else { 16 };
+            let out_count = (n - tree.reached()) as u128;
+            let outside = (out_count > 0).then_some(Outside { count: out_count, value: shrink(out_raw) });
+            let r = 1 + r_raw % n;
+            let tie = match jitter {
+                0 => TieBreak::ThresholdCorrection,
+                bits => TieBreak::RandomJitter { bits: 4 * bits },
+            };
+            let work_width = value_width + if jitter == 0 { 0 } else { 4 * jitter };
+            let id = id_bits(n);
+            let widths = [work_width, 1 + work_width, 2 + id, 2 + work_width + id, 40];
+            let budget = widths[pick] + offset - 1;
+            let got = RSmallestSearch::new(&tree, budget).run(|u| values[u], r, value_width, tie, outside, seed);
+            let want = flat_reference(&g, &tree, &values, r, value_width, tie, outside, budget, seed);
+            let key = |x: &Result<(RSmallestResult, Metrics), RunError>| {
+                x.clone().map(|(res, m)| (res.sum, res.threshold, res.iterations, m))
+            };
+            prop_assert_eq!(key(&got), key(&want));
+        }
     }
 }

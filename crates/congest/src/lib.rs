@@ -45,21 +45,30 @@
 //!
 //! ## Phases without the engine
 //!
-//! Of Algorithm 2's phases only BFS runs on [`engine::Network`]. Every
-//! message of Algorithm 1's flood is a pure function of the current
-//! fixed-point state, so [`flood`] steps the fixed-point walk of
-//! `lmt-walks::fixed_flood` and meters one message per nonzero share it
-//! ships.
+//! None of Algorithm 2's phases runs on [`engine::Network`]; each charges
+//! the rounds, messages, bits and budget errors its message-passing
+//! protocol produces there, and differential tests run those protocols as
+//! oracles.
 //!
-//! Broadcast and convergecast over a BFS tree — the bulk of Algorithm 2's
-//! rounds — do not run on a [`engine::Network`] either. Their schedule is
-//! fixed by the tree's shape, so [`tree`] executes them with a flat,
-//! sequential kernel: one layout of the tree in BFS order per call, a
-//! broadcast that delivers directly, and a convergecast that is one
-//! reverse-BFS pass. It charges the rounds, messages, bits and budget
-//! errors the message-passing protocol produces on a full-graph network,
-//! which a differential test runs as its oracle. Neither the tree phases
-//! nor the flood depend on the engine kind.
+//! * The BFS protocol is deterministic (a node adopts its smallest-id
+//!   neighbor one level up), so [`bfs`] builds the same tree with a
+//!   level-synchronous sweep over the CSR and counts its messages per
+//!   forwarding node and per adopting node.
+//! * Every message of Algorithm 1's flood is a pure function of the current
+//!   fixed-point state, so [`flood`] steps the fixed-point walk of
+//!   `lmt-walks::fixed_flood` and meters one message per nonzero share it
+//!   ships.
+//! * Broadcast and convergecast over a BFS tree have a schedule fixed by the
+//!   tree's shape, so [`tree`] executes them with a flat, sequential kernel:
+//!   a layout of the tree in BFS order, a broadcast that delivers directly,
+//!   and a convergecast that is one reverse-BFS pass.
+//! * The binary search — the bulk of Algorithm 2's rounds — charges its
+//!   convergecasts in closed form from two ranks per threshold, on one
+//!   layout per tree ([`binsearch`]).
+//!
+//! None of these phases depends on the engine kind. The BFS protocol still
+//! runs on the engine under a fault plan ([`bfs::build_bfs_tree_faulty`]),
+//! as do the naive upcast ([`upcast`]) and `lmt-gossip`'s protocols.
 //!
 //! ## Faults
 //!
@@ -81,9 +90,10 @@
 //!   executors with identical (deterministic, seeded) semantics, budget
 //!   enforcement, quiescence detection and [`engine::Metrics`].
 //! * `routing` (crate-private) — the message plane described above.
-//! * [`bfs`] — distributed BFS-tree construction by flooding (depth-limited,
-//!   as used in step 3 of Algorithm 2), verified against the centralized
-//!   traversal.
+//! * [`bfs`] — BFS-tree construction (depth-limited, as used in step 3 of
+//!   Algorithm 2) at the cost of the `JOIN`/`ADOPT` flooding protocol,
+//!   verified against the centralized traversal and against the protocol
+//!   on the engine.
 //! * [`tree`] — broadcast and convergecast (sum / min / max / count) over a
 //!   constructed BFS tree — the upcast/downcast toolkit of §3.1, as the
 //!   flat kernel described above.

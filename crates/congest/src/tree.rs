@@ -9,11 +9,14 @@
 //!
 //! A tree phase sends along tree edges only, one message per edge, and its
 //! schedule is fixed by the tree's shape, so it is not simulated message by
-//! message. A crate-private flat kernel lays the tree out once per call in
-//! BFS order (the root first, each node's children contiguous, a parent
-//! position per node). A broadcast then delivers the value to every member
-//! directly, and a convergecast is one pass over the members in reverse BFS
-//! order that folds each subtree's partial into its parent's slot. The
+//! message. A crate-private flat kernel lays the tree out in BFS order (the
+//! root first, each node's children contiguous, a parent position per node):
+//! once per call of the functions here, once per tree for
+//! [`crate::binsearch::RSmallestSearch`]. A broadcast then delivers the
+//! value to every member directly, and a convergecast is one pass over the
+//! members in reverse BFS order that folds each subtree's partial into its
+//! parent's slot (the binary search charges most of its convergecasts in
+//! closed form instead, see [`crate::binsearch`]). The
 //! kernel charges exactly what the message-passing protocol costs on a
 //! full-graph [`crate::engine::Network`] (a differential test runs that
 //! protocol as the oracle):
@@ -132,7 +135,7 @@ impl Payload for TreeMsg {
 /// A BFS tree laid out for flat tree phases: the members in BFS order
 /// (the root first, each node's children contiguous and in the tree's
 /// child order), each with its parent's position, plus the partials of the
-/// current convergecast. Built once per call and dropped with it.
+/// current convergecast.
 pub(crate) struct FlatTree {
     /// `order[i]`: the full-graph id of the member at BFS position `i`.
     order: Vec<u32>,
@@ -157,7 +160,7 @@ impl FlatTree {
         let (mut level, mut depth) = (0..1, 0);
         loop {
             for i in level.clone() {
-                let kids = &tree.children[order[i] as usize];
+                let kids = tree.children(order[i] as usize);
                 order.extend_from_slice(kids);
                 parent.resize(order.len(), i as u32);
             }
@@ -188,6 +191,40 @@ impl FlatTree {
     /// Messages of one phase: one per tree edge.
     fn sends(&self) -> u64 {
         self.order.len() as u64 - 1
+    }
+
+    /// Each member's subtree minimum of `value` (indexed by BFS position),
+    /// written to `out` in one reverse-BFS pass.
+    pub(crate) fn subtree_min(&self, value: &[u128], out: &mut Vec<u128>) {
+        out.clear();
+        out.extend_from_slice(value);
+        for i in (1..out.len()).rev() {
+            let p = self.parent[i] as usize;
+            out[p] = out[p].min(out[i]);
+        }
+    }
+
+    /// What [`FlatTree::convergecast`] charges, without the pass, when every
+    /// contribution has field width `width` and `q` non-root members have a
+    /// contribution in their subtree: those `q` report `1 + width` bits, the
+    /// other non-root members an empty 1-bit report. `None` if a report
+    /// exceeds the budget; the pass then names the error.
+    pub(crate) fn convergecast_cost(&self, q: u64, width: u32) -> Option<Metrics> {
+        let sends = self.sends();
+        let up = 1 + width;
+        let empty = TreeMsg::Empty.encoded_bits();
+        let max_edge_bits = match (q, sends) {
+            (_, 0) => 0,
+            (0, _) => empty,
+            _ => up,
+        };
+        (max_edge_bits <= self.budget_bits).then(|| Metrics {
+            rounds: self.depth as u64,
+            messages: sends,
+            bits: q * up as u64 + (sends - q) * empty as u64,
+            max_edge_bits,
+            ..Metrics::default()
+        })
     }
 
     /// The budget error of a `bits`-bit message in `round` over the tree
@@ -488,11 +525,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // The engine only builds the tree; the phase on it must agree.
+        // The engine only builds the tree (the BfsNode protocol on a
+        // network); the phase on it must agree.
         let g = gen::random_regular(48, 4, 8);
         let run = |kind| {
             let budget = olog_budget(48, 16);
-            let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, kind, 1).unwrap();
+            let (tree, _) =
+                crate::bfs::build_bfs_tree_faulty(&g, 0, u32::MAX, budget, kind, 1, None).unwrap();
             convergecast(&tree, Op::Sum, |id| Some(Wide::new(id as u128, 16)), budget).unwrap()
         };
         let (a, ma) = run(EngineKind::Sequential);
@@ -557,7 +596,7 @@ mod tests {
 
         /// Broadcast: hand `v` to every child.
         fn forward(&mut self, ctx: &mut Ctx<'_, TreeMsg>, v: Wide) {
-            for &c in &self.tree.children[ctx.id()] {
+            for &c in self.tree.children(ctx.id()) {
                 ctx.send(c as usize, TreeMsg::Down(v));
             }
             self.done = true;
@@ -570,7 +609,7 @@ mod tests {
         /// silently.)
         fn try_flush(&mut self, ctx: &mut Ctx<'_, TreeMsg>, op: Op) {
             let (id, tree) = (ctx.id(), self.tree);
-            if self.done || (self.received as usize) < tree.children[id].len() {
+            if self.done || (self.received as usize) < tree.children(id).len() {
                 return;
             }
             self.done = true;

@@ -11,12 +11,13 @@
 //!    if the sum is `< 4ε` (the relaxed test of Lemma 3 that covers the
 //!    off-grid set sizes).
 //!
-//! BFS runs as message passing on the CONGEST engine. The flood steps the
-//! fixed-point walk and charges one message per nonzero share, and the
-//! binary search's tree phases run on `lmt_congest::tree`'s flat kernel,
-//! which charges exactly the rounds, messages and bits of the
-//! message-passing protocol. The returned metrics are the algorithm's true
-//! round/bit cost.
+//! No phase runs message by message on the CONGEST engine. The BFS is a
+//! level-synchronous sweep, the flood steps the fixed-point walk and
+//! charges one message per nonzero share, and the binary search runs on one
+//! flat layout of the tree per `ℓ` with closed-form convergecast costs.
+//! Each charges exactly the rounds, messages and bits of its
+//! message-passing protocol, so the returned metrics are the algorithm's
+//! true round/bit cost.
 //!
 //! Nodes beyond distance `ℓ` hold `p̃_ℓ = 0` and sit outside the depth-
 //! limited tree; their common difference value `1/R` is folded in
@@ -24,8 +25,8 @@
 //! paper leaves this bookkeeping implicit).
 
 use crate::config::AlgoConfig;
-use lmt_congest::bfs::build_bfs_tree;
-use lmt_congest::binsearch::{sum_of_r_smallest, Outside};
+use lmt_congest::bfs::{build_bfs_tree, BfsTree};
+use lmt_congest::binsearch::{Outside, RSmallestSearch};
 use lmt_congest::flood::FloodGraph;
 use lmt_congest::{Metrics, RunError};
 use lmt_graph::{Graph, WalkGraph};
@@ -125,10 +126,11 @@ pub(crate) fn check_source<G: WalkGraph + ?Sized>(g: &G, src: usize) -> Result<(
 
 /// One grid pass (steps 5–12 of Algorithm 2) at a fixed length `ℓ`:
 /// returns `Some((R, sum))` on acceptance. Shared with the exact variant.
+/// The tree is laid out once and serves every grid size's search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grid_check(
     g: &Graph,
-    tree: &lmt_congest::bfs::BfsTree,
+    tree: &BfsTree,
     weights: &[lmt_util::fixed::FixedQ],
     scale: FixedScale,
     cfg: &AlgoConfig,
@@ -141,28 +143,21 @@ pub(crate) fn grid_check(
     let four_eps = scale.from_f64(4.0 * cfg.eps);
     let value_width = scale.payload_bits();
     let outside_count = (n - tree.reached()) as u128;
+    let mut search = RSmallestSearch::new(tree, budget);
     for (gi, &r) in cfg.size_grid(n).iter().enumerate() {
         *sizes_checked += 1;
         let target = scale.recip(r);
-        // Local computation at each node: x_u = |p̃_ℓ(u) − 1/R|.
-        let xs: Vec<u128> = weights
-            .iter()
-            .map(|&w| scale.abs_diff(w, target).numerator())
-            .collect();
         let outside = (outside_count > 0).then_some(Outside {
             count: outside_count,
             value: target.numerator(), // |0 − 1/R|
         });
-        let (res, m) = sum_of_r_smallest(
-            g,
-            tree,
-            &xs,
+        // Local computation at each node: x_u = |p̃_ℓ(u) − 1/R|.
+        let (res, m) = search.run(
+            |u| scale.abs_diff(weights[u], target).numerator(),
             r,
             value_width,
             cfg.tie,
             outside,
-            budget,
-            cfg.engine,
             seed.wrapping_add(gi as u64),
         )?;
         metrics.absorb(&m);

@@ -18,13 +18,14 @@ pub struct AlgoConfig {
     /// Per-edge budget multiplier: the budget is `multiplier·⌈log₂ n⌉` bits.
     /// Must be at least `c + 2` so Algorithm 1's shares fit.
     pub budget_multiplier: u32,
-    /// Sequential or rayon-parallel engine (identical results). It reaches
-    /// only the BFS, the one phase that runs on the round engine; the flood
-    /// and the tree phases are sequential.
+    /// Sequential or rayon-parallel round engine. No phase of the
+    /// algorithms in this crate runs on the engine (the BFS, the flood and
+    /// the tree phases are sequential), so it affects no result:
+    /// Parallel ≡ Sequential holds trivially.
     pub engine: EngineKind,
-    /// Master seed for all per-node randomness: the BFS network's per-node
-    /// streams, the binary search's [`TieBreak::RandomJitter`] draws and the
-    /// sampling baselines' walks. The flood is deterministic and ignores it.
+    /// Master seed for all per-node randomness: the binary search's
+    /// [`TieBreak::RandomJitter`] draws and the sampling baselines' walks.
+    /// The BFS and the flood are deterministic and ignore it.
     pub seed: u64,
     /// Hard cap on the walk length explored (guards non-terminating cases,
     /// e.g. simple walks on bipartite graphs).

@@ -14,7 +14,7 @@
 //! prints differently fails the property.
 
 use local_mixing_repro::prelude::*;
-use lmt_congest::bfs::build_bfs_tree;
+use lmt_congest::bfs::{build_bfs_tree, build_bfs_tree_faulty, BfsTree};
 use lmt_congest::flood::FloodGraph;
 use lmt_congest::message::olog_budget;
 use lmt_core::graph_tau::graph_local_mixing_time_sampled;
@@ -94,40 +94,48 @@ macro_rules! assert_width_table {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// BFS-tree construction: tree structure and CONGEST metrics.
+    /// BFS-tree construction: tree structure and CONGEST metrics of the
+    /// `BfsNode` protocol on the round engine (what fault plans run), and
+    /// the flat construction (which takes no engine) equal to it.
     #[test]
     fn bfs_parallel_equals_sequential((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);
         prop_assume!(props::is_connected(&g));
+        let budget = olog_budget(n, 10);
+        let digest = |(tree, m): (BfsTree, Metrics)| format!("{tree:?} | {m:?}");
         let results = at_widths(|| {
-            both_engines(|engine| {
-                let (tree, m) =
-                    build_bfs_tree(&g, 0, u32::MAX, olog_budget(n, 10), engine, seed ^ 0xB5)
-                        .expect("bfs");
-                format!("{tree:?} | {m:?}")
-            })
+            let flat = build_bfs_tree(&g, 0, u32::MAX, budget, EngineKind::Sequential, seed ^ 0xB5);
+            let engines = both_engines(|engine| {
+                digest(build_bfs_tree_faulty(&g, 0, u32::MAX, budget, engine, seed ^ 0xB5, None).expect("bfs"))
+            });
+            assert_eq!(digest(flat.expect("bfs")), engines.0, "flat BFS != BfsNode on the engine");
+            engines
         });
         assert_width_table!(results);
     }
 
     /// Probability flooding (Algorithm 1's substrate): fixed-point weight
-    /// vectors and metrics. (The flood runs no engine, so `engine` is
-    /// ignored — this pins run-to-run determinism across pool widths and
-    /// guards the contract if the flood ever gains a parallel path.)
+    /// vectors and metrics. The flood runs no engine, so this pins
+    /// run-to-run determinism across pool widths.
     #[test]
-    fn flood_parallel_equals_sequential((n, d, seed) in regular_spec()) {
+    fn flood_deterministic_across_widths((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);
         prop_assume!(props::is_connected(&g));
         let results = at_widths(|| {
-            both_engines(|engine| {
-                let budget = olog_budget(n, 10);
-                let (weights, scale, m) = g
-                    .estimate_flood(0, 8, 6, WalkKind::Lazy, budget, engine, seed ^ 0xF1)
-                    .expect("flood");
-                format!("{weights:?} | {scale:?} | {m:?}")
-            })
+            let budget = olog_budget(n, 10);
+            let (weights, scale, m) = g
+                .estimate_flood(0, 8, 6, WalkKind::Lazy, budget, EngineKind::Sequential, seed ^ 0xF1)
+                .expect("flood");
+            format!("{weights:?} | {scale:?} | {m:?}")
         });
-        assert_width_table!(results);
+        for pair in results.windows(2) {
+            prop_assert!(
+                pair[0].1 == pair[1].1,
+                "flood drifted between widths {} and {}",
+                pair[0].0,
+                pair[1].0
+            );
+        }
     }
 
     /// Gossip push–pull: per-node token sets after 20 rounds. (Gossip runs
@@ -466,7 +474,7 @@ mod routing_pins {
         let mut words: Vec<u64> = Vec::new();
         words.extend(t.parent.iter().map(|&p| opt(p)));
         words.extend(t.dist.iter().map(|&d| opt(d)));
-        for c in &t.children {
+        for c in (0..g.n()).map(|v| t.children(v)) {
             words.push(c.len() as u64);
             words.extend(c.iter().map(|&v| u64::from(v)));
         }
@@ -937,8 +945,8 @@ mod churn_layer {
     }
 
     /// Bit-faithful digest of everything the walk stack computes over `g`:
-    /// τ-service answers, flood weights/scale/metrics under both engines,
-    /// and blocked-engine final distributions at block widths 1, 2, and 8.
+    /// τ-service answers, flood weights/scale/metrics, and blocked-engine
+    /// final distributions at block widths 1, 2, and 8.
     pub fn full_digest<G: WalkGraph + FloodGraph + Clone>(
         g: &G,
         queries: &[TauQuery],
@@ -948,13 +956,10 @@ mod churn_layer {
         let service = TauService::with_config(g.clone(), tau_service::cfg());
         let tau = tau_service::digest(&service.submit_batch(queries));
         let n = g.n();
-        let (flood_seq, flood_par) = both_engines(|engine| {
-            let (weights, scale, m) = g
-                .estimate_flood(0, 8, 6, WalkKind::Lazy, olog_budget(n, 10), engine, seed ^ 0xF1)
-                .expect("flood");
-            format!("{weights:?} | {scale:?} | {m:?}")
-        });
-        assert_eq!(flood_seq, flood_par, "flood engines disagree over churn");
+        let (weights, scale, m) = g
+            .estimate_flood(0, 8, 6, WalkKind::Lazy, olog_budget(n, 10), EngineKind::Sequential, seed ^ 0xF1)
+            .expect("flood");
+        let flood = format!("{weights:?} | {scale:?} | {m:?}");
         let blocked: String = [1usize, 2, 8]
             .iter()
             .map(|&w| {
@@ -963,7 +968,7 @@ mod churn_layer {
             })
             .collect::<Vec<_>>()
             .join(" ; ");
-        format!("{tau} || {flood_seq} || {blocked}")
+        format!("{tau} || {flood} || {blocked}")
     }
 }
 
@@ -1028,35 +1033,30 @@ proptest! {
     }
 }
 
-/// Tree phases (a sequential flat kernel that ignores the engine kind, so
-/// the BFS tree it runs on is what the engines must agree on): a broadcast
-/// and a convergecast per operation on a spanning expander tree.
+/// Tree phases on a flat BFS tree (neither takes an engine): a broadcast
+/// and a convergecast per operation on a spanning expander tree, the same
+/// at every pool width.
 #[test]
-fn tree_phases_parallel_equal_sequential_across_widths() {
+fn tree_phases_deterministic_across_widths() {
     use lmt_congest::tree::{broadcast, convergecast, Op, Wide};
     let g = gen::random_regular(600, 6, 21);
     let budget = olog_budget(g.n(), 16);
     let results = at_widths(|| {
-        both_engines(|engine| {
-            let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, engine, 1).expect("bfs");
-            let down = broadcast(&tree, Wide::new(77, 8), budget).expect("bcast");
-            let mut out = format!("{down:?}");
-            for op in [Op::Min, Op::Max, Op::Sum] {
-                let up = convergecast(
-                    &tree,
-                    op,
-                    |id| (id % 3 != 0).then(|| Wide::new((id * 37 % 1000) as u128, 24)),
-                    budget,
-                )
-                .expect("convergecast");
-                out += &format!("{up:?}");
-            }
-            out
-        })
+        let (tree, _) = build_bfs_tree(&g, 0, u32::MAX, budget, EngineKind::Sequential, 1).expect("bfs");
+        let down = broadcast(&tree, Wide::new(77, 8), budget).expect("bcast");
+        let mut out = format!("{down:?}");
+        for op in [Op::Min, Op::Max, Op::Sum] {
+            let up = convergecast(
+                &tree,
+                op,
+                |id| (id % 3 != 0).then(|| Wide::new((id * 37 % 1000) as u128, 24)),
+                budget,
+            )
+            .expect("convergecast");
+            out += &format!("{up:?}");
+        }
+        out
     });
-    for (w, (seq, par)) in &results {
-        assert_eq!(seq, par, "parallel != sequential at pool width {w}");
-    }
     for pair in results.windows(2) {
         assert_eq!(pair[0].1, pair[1].1, "results drifted between widths {} and {}", pair[0].0, pair[1].0);
     }
@@ -1155,4 +1155,48 @@ fn algo2_pinned_across_engines_and_widths() {
     for (g, src, beta, pin) in [algo2_pin::regular(), algo2_pin::clique_ring()] {
         at_widths(|| algo2_pin::check(&g, src, beta, &pin));
     }
+}
+
+/// One Algorithm 2 query at n = 2¹⁴ (d = 8, β = 8, perfbench's seeding
+/// with seed 14) pinned exactly: ℓ, R, the accepted sum's bits, the full
+/// [`Metrics`] and every per-iteration log. The literals were recorded
+/// from the message-passing BFS and the pass-per-phase binary search, so
+/// the flat BFS and the ranked search must reproduce every round, message
+/// and bit at a scale the small pins do not reach. `#[ignore]`d since a
+/// debug build takes over a second (release: about 0.1 s); CI runs
+/// `cargo test --release --test determinism -- --ignored`.
+#[test]
+#[ignore]
+fn algo2_query_at_2_14_pinned() {
+    use lmt_util::rng::{fork, stream_seed};
+    use rand::Rng;
+    let n = 1 << 14;
+    let g = gen::random_regular(n, 8, stream_seed(14, 0));
+    let src = fork(stream_seed(14, 1), 0).gen_range(0..n);
+    let r = local_mixing_time_approx(&g, src, &AlgoConfig::new(8.0)).expect("Algorithm 2 accepts");
+    let metrics = Metrics {
+        rounds: 137_371,
+        messages: 249_729_860,
+        bits: 11_847_926_014,
+        max_edge_bits: 101,
+        ..Metrics::default()
+    };
+    assert_eq!(src, 12_998);
+    assert_eq!((r.ell, r.accepted_size, r.accepted_sum.to_bits()), (16, 13_534, 0x3fc5_e8f8_7269_a8bb));
+    assert_eq!(r.metrics, metrics);
+    let iters: Vec<_> = r
+        .iterations
+        .iter()
+        .map(|i| (i.ell, i.bfs_depth, i.tree_reached, i.sizes_checked, i.rounds))
+        .collect();
+    assert_eq!(
+        iters,
+        [
+            (1, 1, 9, 48, 8_017),
+            (2, 2, 65, 48, 16_033),
+            (4, 4, 2_954, 48, 31_257),
+            (8, 6, 16_384, 48, 44_943),
+            (16, 6, 16_384, 43, 37_121),
+        ]
+    );
 }
