@@ -28,12 +28,13 @@ fn main() {
         };
         let r = local_mixing_time(&g, src, &opts).unwrap();
         let tau = r.tau;
-        let phi = set_conductance(&g, &r.witness.nodes).unwrap_or(f64::NAN);
+        let set: Vec<usize> = r.witness.nodes.iter().map(|&v| v as usize).collect();
+        let phi = set_conductance(&g, &set).unwrap_or(f64::NAN);
         let product = tau as f64 * phi;
         // Lemma 4's conclusion: at 2τ the restricted condition still holds
         // with parameter 2ε.
         let t2 = 2 * tau.max(1);
-        let trace = restricted_trace(&g, src, &r.witness.nodes, WalkKind::Simple, t2);
+        let trace = restricted_trace(&g, src, &set, WalkKind::Simple, t2);
         let at_2tau = trace[t2];
         t.row(&[
             name.to_string(),

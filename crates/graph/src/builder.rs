@@ -109,7 +109,11 @@ impl GraphBuilder {
     /// # Panics
     /// Panics on out-of-range endpoints or a self-loop.
     pub fn add_edge(&mut self, u: usize, v: usize) -> &mut Self {
-        assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range n={}", self.n);
+        assert!(
+            u < self.n && v < self.n,
+            "edge ({u},{v}) out of range n={}",
+            self.n
+        );
         assert_ne!(u, v, "self-loop at {u} rejected (simple graphs only)");
         // In range: u, v < n ≤ u32::MAX (checked at construction).
         self.edges.push((u as u32, v as u32));
@@ -137,7 +141,8 @@ impl GraphBuilder {
     /// offset layout — use [`GraphBuilder::try_build`] for a recoverable
     /// error.
     pub fn build(self) -> Graph {
-        self.try_build().expect("edge slots exceed u32 offset range")
+        self.try_build()
+            .expect("edge slots exceed u32 offset range")
     }
 
     /// Fallible [`GraphBuilder::build`]: rejects graphs whose

@@ -392,8 +392,18 @@ impl WalkGraph for ChurnGraph {
     }
 
     #[inline]
-    fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]) {
-        self.g.pull_block(v, p, width, out)
+    fn prescales(&self) -> bool {
+        self.g.prescales()
+    }
+
+    #[inline]
+    fn prescale_row(&self, u: usize, p_row: &[f64], q_row: &mut [f64]) {
+        self.g.prescale_row(u, p_row, q_row)
+    }
+
+    #[inline]
+    fn pull_block(&self, v: usize, q: &[f64], width: usize, out: &mut [f64]) {
+        self.g.pull_block(v, q, width, out)
     }
 
     #[inline]
@@ -411,9 +421,12 @@ impl WalkGraph for ChurnGraph {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::walk::tests::gather_source;
 
     fn dist(n: usize, salt: usize) -> Vec<f64> {
-        (0..n).map(|v| ((v * 7 + salt + 1) as f64).recip()).collect()
+        (0..n)
+            .map(|v| ((v * 7 + salt + 1) as f64).recip())
+            .collect()
     }
 
     #[test]
@@ -422,7 +435,11 @@ mod tests {
         let cg = ChurnGraph::new(g.clone());
         let p = dist(g.n(), 3);
         for v in 0..g.n() {
-            assert_eq!(cg.pull(v, &p).to_bits(), g.pull(v, &p).to_bits(), "node {v}");
+            assert_eq!(
+                cg.pull(v, &p).to_bits(),
+                g.pull(v, &p).to_bits(),
+                "node {v}"
+            );
         }
         assert_eq!(cg.topology(), &g);
     }
@@ -452,13 +469,21 @@ mod tests {
                     interleaved[v * width + j] = p[v] * (j + 1) as f64;
                 }
             }
+            let (q_cg, q_fresh) = (
+                gather_source(&cg, &interleaved, width),
+                gather_source(&fresh, &interleaved, width),
+            );
             let mut got = vec![f64::NAN; width];
             let mut want = vec![f64::NAN; width];
             for v in 0..n {
-                cg.pull_block(v, &interleaved, width, &mut got);
-                fresh.pull_block(v, &interleaved, width, &mut want);
+                cg.pull_block(v, &q_cg, width, &mut got);
+                fresh.pull_block(v, &q_fresh, width, &mut want);
                 for j in 0..width {
-                    assert_eq!(got[j].to_bits(), want[j].to_bits(), "w={width} v={v} lane {j}");
+                    assert_eq!(
+                        got[j].to_bits(),
+                        want[j].to_bits(),
+                        "w={width} v={v} lane {j}"
+                    );
                 }
             }
             for v in 0..n {
@@ -473,10 +498,12 @@ mod tests {
         let mut cg = ChurnGraph::new(g.clone());
         // A flap of an existing edge within one batch: the deletion is
         // cancelled and the topology is unchanged.
-        cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 1)]).unwrap();
+        cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 1)])
+            .unwrap();
         assert_eq!(cg.topology(), &g);
         // Same for a fresh edge.
-        cg.apply(&[EdgeEdit::insert(0, 4), EdgeEdit::delete(0, 4)]).unwrap();
+        cg.apply(&[EdgeEdit::insert(0, 4), EdgeEdit::delete(0, 4)])
+            .unwrap();
         assert_eq!(cg.topology(), &g);
     }
 
@@ -490,13 +517,23 @@ mod tests {
             (vec![EdgeEdit::insert(0, 1)], "existing edge"),
             (vec![EdgeEdit::delete(0, 4)], "absent edge"),
             // Valid head, invalid tail: the head must not stick.
-            (vec![EdgeEdit::insert(0, 2), EdgeEdit::delete(3, 0)], "absent edge"),
-            (vec![EdgeEdit::insert(0, 2), EdgeEdit::insert(0, 2)], "existing edge"),
+            (
+                vec![EdgeEdit::insert(0, 2), EdgeEdit::delete(3, 0)],
+                "absent edge",
+            ),
+            (
+                vec![EdgeEdit::insert(0, 2), EdgeEdit::insert(0, 2)],
+                "existing edge",
+            ),
         ];
         for (batch, needle) in cases {
             let err = cg.apply(&batch).unwrap_err();
             assert!(err.to_string().contains(needle), "{batch:?} → {err}");
-            assert_eq!(cg.topology(), &g, "{batch:?} must leave the graph unchanged");
+            assert_eq!(
+                cg.topology(),
+                &g,
+                "{batch:?} must leave the graph unchanged"
+            );
         }
     }
 
@@ -593,8 +630,9 @@ mod tests {
         for (k, wg) in graphs.into_iter().enumerate() {
             for width in [1usize, 2, 3, 4, 8] {
                 let p: Vec<f64> = (0..4 * width).map(|i| (i + 1) as f64 / 64.0).collect();
+                let q = gather_source(wg, &p, width);
                 let mut out = vec![f64::NAN; width];
-                wg.pull_block(0, &p, width, &mut out);
+                wg.pull_block(0, &q, width, &mut out);
                 for (j, o) in out.iter().enumerate() {
                     let col: Vec<f64> = (0..4).map(|v| p[v * width + j]).collect();
                     let at = format!("graph {k} w={width} lane {j}");

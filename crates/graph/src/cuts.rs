@@ -57,7 +57,10 @@ pub fn conductance_of_nodes(g: &Graph, nodes: &[usize]) -> Option<f64> {
 /// Cheeger-bound checks in `lmt-spectral`.
 pub fn min_conductance_exhaustive(g: &Graph) -> Option<(Vec<usize>, f64)> {
     let n = g.n();
-    assert!(n <= 22, "exhaustive conductance limited to n ≤ 22 (got {n})");
+    assert!(
+        n <= 22,
+        "exhaustive conductance limited to n ≤ 22 (got {n})"
+    );
     if n < 2 {
         return None;
     }
@@ -77,7 +80,10 @@ pub fn min_conductance_exhaustive(g: &Graph) -> Option<(Vec<usize>, f64)> {
         }
     }
     best.map(|(mask, phi)| {
-        let nodes: Vec<usize> = (0..n - 1).filter(|b| mask >> b & 1 == 1).map(|b| b + 1).collect();
+        let nodes: Vec<usize> = (0..n - 1)
+            .filter(|b| mask >> b & 1 == 1)
+            .map(|b| b + 1)
+            .collect();
         (nodes, phi)
     })
 }
@@ -132,10 +138,7 @@ mod tests {
         let (g, spec) = gen::barbell(2, 5);
         let (set, phi) = min_conductance_exhaustive(&g).unwrap();
         // The bridge is the min cut: one crossing edge over volume of one clique.
-        let clique_vol: usize = spec
-            .clique_nodes(1)
-            .map(|u| g.degree(u))
-            .sum();
+        let clique_vol: usize = spec.clique_nodes(1).map(|u| g.degree(u)).sum();
         assert!((phi - 1.0 / clique_vol as f64).abs() < 1e-12, "phi={phi}");
         assert_eq!(set.len(), 5, "min cut isolates one clique");
     }

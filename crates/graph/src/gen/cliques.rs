@@ -109,7 +109,10 @@ pub fn ring_of_cliques(beta: usize, clique_size: usize) -> (Graph, BarbellSpec) 
 /// have degree `k`; see `FlatPolicy::AssumeFlat` in `lmt-walks`).
 pub fn ring_of_cliques_regular(beta: usize, clique_size: usize) -> (Graph, BarbellSpec) {
     assert!(beta >= 3, "regular ring of cliques needs β ≥ 3");
-    assert!(clique_size >= 4, "regular ring of cliques needs clique size ≥ 4");
+    assert!(
+        clique_size >= 4,
+        "regular ring of cliques needs clique size ≥ 4"
+    );
     let spec = BarbellSpec { beta, clique_size };
     let mut b = GraphBuilder::new(spec.n());
     for i in 0..beta {

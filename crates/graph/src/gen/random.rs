@@ -46,7 +46,10 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!(d >= 1, "random_regular: d must be ≥ 1");
     assert!(d < n, "random_regular: need d < n");
     check_edge_slots(n.saturating_mul(d), n).expect("edge slots exceed u32 offset range");
-    assert!((n * d).is_multiple_of(2), "random_regular: n·d must be even");
+    assert!(
+        (n * d).is_multiple_of(2),
+        "random_regular: n·d must be even"
+    );
     if d == n - 1 {
         // The unique (n−1)-regular graph is K_n; the swap repair has zero
         // slack there (every pair must appear exactly once).
@@ -159,7 +162,10 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
 pub(crate) fn random_regular_reference(n: usize, d: usize, seed: u64) -> Graph {
     assert!(d >= 1, "random_regular: d must be ≥ 1");
     assert!(d < n, "random_regular: need d < n");
-    assert!((n * d).is_multiple_of(2), "random_regular: n·d must be even");
+    assert!(
+        (n * d).is_multiple_of(2),
+        "random_regular: n·d must be even"
+    );
     if d == n - 1 {
         return crate::gen::complete(n);
     }
@@ -179,9 +185,8 @@ pub(crate) fn random_regular_reference(n: usize, d: usize, seed: u64) -> Graph {
     for &(a, b) in &pairs {
         *multiplicity.entry(norm(a, b)).or_insert(0) += 1;
     }
-    let is_bad = |(a, b): (u32, u32), mult: &HashMap<(u32, u32), u32>| {
-        a == b || mult[&norm(a, b)] > 1
-    };
+    let is_bad =
+        |(a, b): (u32, u32), mult: &HashMap<(u32, u32), u32>| a == b || mult[&norm(a, b)] > 1;
 
     let mut guard = 0usize;
     loop {

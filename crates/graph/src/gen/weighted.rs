@@ -23,7 +23,10 @@ use crate::gen::BarbellSpec;
 /// transition probabilities unchanged (the walk only sees ratios) but
 /// scales walk degrees — useful for testing scale invariance.
 pub fn uniform_weights(topo: Graph, w: f64) -> WeightedGraph {
-    assert!(w.is_finite() && w > 0.0, "uniform weight {w} must be finite and > 0");
+    assert!(
+        w.is_finite() && w > 0.0,
+        "uniform weight {w} must be finite and > 0"
+    );
     let mut b = WeightedGraphBuilder::new(topo.n());
     for (u, v) in topo.edges() {
         b.add_edge(u, v, w);
@@ -35,7 +38,10 @@ pub fn uniform_weights(topo: Graph, w: f64) -> WeightedGraph {
 ///
 /// # Panics
 /// Panics if `weight` returns a non-finite or non-positive value.
-pub fn with_edge_weights(topo: Graph, mut weight: impl FnMut(usize, usize) -> f64) -> WeightedGraph {
+pub fn with_edge_weights(
+    topo: Graph,
+    mut weight: impl FnMut(usize, usize) -> f64,
+) -> WeightedGraph {
     let mut b = WeightedGraphBuilder::new(topo.n());
     for (u, v) in topo.edges() {
         b.add_edge(u, v, weight(u, v));
@@ -107,7 +113,10 @@ pub fn weighted_barbell(
         // cross a clique boundary.
         u / clique_size != v / clique_size
     };
-    let g = with_edge_weights(topo, |u, v| if is_bridge(u, v) { bridge_weight } else { 1.0 });
+    let g = with_edge_weights(
+        topo,
+        |u, v| if is_bridge(u, v) { bridge_weight } else { 1.0 },
+    );
     (g, spec)
 }
 
@@ -186,7 +195,10 @@ mod tests {
     #[test]
     fn weighted_barbell_bridges_carry_the_weight() {
         let (g, spec) = weighted_barbell(3, 4, 0.25);
-        assert_eq!(g.edge_weight(spec.right_port(0), spec.left_port(1)), Some(0.25));
+        assert_eq!(
+            g.edge_weight(spec.right_port(0), spec.left_port(1)),
+            Some(0.25)
+        );
         assert_eq!(g.edge_weight(0, 1), Some(1.0));
         // Port walk degree: (k−1) unit edges + one 0.25 bridge.
         assert_eq!(g.weighted_degree(spec.right_port(0)), 3.25);

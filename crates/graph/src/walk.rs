@@ -10,7 +10,9 @@
 //!   floating-point operations the pre-trait code performed, in the same
 //!   order ([`WalkGraph::pull`] is the old pull closure verbatim), so every
 //!   unweighted walk result — distributions, mixing times, sampled
-//!   endpoints — is unchanged to the last bit.
+//!   endpoints — is unchanged to the last bit. Its blocked kernel divides
+//!   once per node instead of once per half-edge (see below): every term
+//!   is still the same IEEE division `p(u) / deg(u)`.
 //! * **Unit weights ≡ unweighted.** The
 //!   [`crate::WeightedGraph`] implementation computes each
 //!   inflow term as `p(u)·w/W(u)` (multiply *then* divide). With every
@@ -20,6 +22,19 @@
 //! * **Scheduling independence.** Implementations are `Sync` and pure
 //!   (besides [`WalkGraph::sample_step`]'s caller-supplied RNG), so the
 //!   rayon-parallel walk step stays deterministic.
+//!
+//! # Prescaled gather
+//!
+//! The unweighted inflow term `p(u) / deg(u)` depends only on the source
+//! node `u`, so [`Graph`] computes it once per node per step
+//! ([`WalkGraph::prescale_row`] fills `q(u) = p(u) / deg(u)`) and its
+//! [`WalkGraph::pull_block`] is a plain gather-sum of `q` over the CSR row:
+//! no division and no `deg(u)` lookup per half-edge. Each term is the
+//! division the per-edge kernel performed, added in the same order, so
+//! the sum is bit-identical. A weighted term `(p(u)·w)/W(u)` depends on
+//! the edge weight before its rounding division, so it has no bit-exact
+//! prescaled form: [`crate::WeightedGraph`] does not prescale
+//! ([`WalkGraph::prescales`] is `false`) and gathers from `p` itself.
 //!
 //! # Explicit-lane `pull_block` kernels
 //!
@@ -85,26 +100,55 @@ pub trait WalkGraph: Sync {
     /// keeps its own arithmetic (see the module docs for why).
     fn pull(&self, v: usize, p: &[f64]) -> f64;
 
+    /// Whether [`WalkGraph::prescale_row`] does any arithmetic. When it
+    /// does not (the default: a weighted term has no bit-exact prescaled
+    /// form, see the module docs), it is the identity copy and callers may
+    /// hand `p` itself to [`WalkGraph::pull_block`].
+    #[inline]
+    fn prescales(&self) -> bool {
+        false
+    }
+
+    /// Fill node `u`'s block row `q_row` of the **gather source**
+    /// [`WalkGraph::pull_block`] reads, from `u`'s block row `p_row` of the
+    /// node-major interleaved distribution matrix (`p_row[j]` is column
+    /// `j`'s mass at `u`; the two rows have the same length).
+    ///
+    /// The unweighted implementation writes `q_row = p_row / deg(u)`, the
+    /// factor every inflow term `u` sends shares; the default copies
+    /// `p_row` unchanged. A row is a pure function of its own `p` row, so
+    /// callers may fill any subset of rows, in any order or in parallel.
+    /// An all-`+0.0` row stays all `+0.0`.
+    #[inline]
+    fn prescale_row(&self, _u: usize, p_row: &[f64], q_row: &mut [f64]) {
+        q_row.copy_from_slice(p_row);
+    }
+
     /// Blocked variant of [`WalkGraph::pull`]: gather the inflow at `v` for
     /// `width` distributions at once from the **node-major interleaved**
-    /// matrix `p` (`p[u * width + j]` is column `j`'s mass at `u`), writing
-    /// column `j`'s inflow to `out[j]`.
+    /// gather source `q` that [`WalkGraph::prescale_row`] builds from the
+    /// distribution matrix `p` (`p[u * width + j]` is column `j`'s mass at
+    /// `u`; when [`WalkGraph::prescales`] is `false`, `q` may be `p`
+    /// itself), writing column `j`'s inflow to `out[j]`.
     ///
     /// This is the SpMM kernel of `lmt-walks`' multi-source evolution
     /// engine: one CSR row traversal feeds every column, instead of one
-    /// graph sweep per column.
+    /// graph sweep per column. The engine prescales each live row once per
+    /// step and then gathers every destination row from the same `q`.
     ///
     /// **Contract (bit-for-bit lane independence):** for every column `j`,
     /// `out[j]` must be produced by *exactly* the floating-point operations
     /// [`WalkGraph::pull`] performs on the single distribution
-    /// `u ↦ p[u * width + j]`, in the same order — each lane of a blocked
-    /// sweep is indistinguishable from a solo sweep. Both workspace
-    /// implementations accumulate per-lane sums in neighbor-ascending order
-    /// with the loop term last, mirroring their `pull`.
+    /// `u ↦ p[u * width + j]`, in the same order, counting the ones
+    /// [`WalkGraph::prescale_row`] performed for it — each lane of a
+    /// blocked sweep is indistinguishable from a solo sweep. The unweighted
+    /// kernel adds the prescaled `p(u) / deg(u)` in neighbor-ascending
+    /// order; the weighted one computes `p(u)·w/W(u)` per term with the
+    /// loop term last — each mirroring its `pull`.
     ///
     /// Implementations may assume `out.len() == width` and
-    /// `p.len() == n * width`.
-    fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]);
+    /// `q.len() == n * width`.
+    fn pull_block(&self, v: usize, q: &[f64], width: usize, out: &mut [f64]);
 
     /// `Some(π-value)` if the stationary distribution is exactly flat
     /// (`1/n` everywhere — topologically regular for unweighted graphs,
@@ -130,18 +174,16 @@ impl Graph {
     /// the lane count fixed at compile time, so the `W` accumulators live
     /// in a stack array and the inner loop has a constant trip count (the
     /// autovectorizable shape — module docs). Per lane, the adds are the
-    /// dynamic kernel's adds in the same ascending-neighbor order.
+    /// dynamic kernel's adds in the same ascending-neighbor order, each of
+    /// a term prescaled by [`WalkGraph::prescale_row`].
     #[inline]
-    fn pull_lanes<const W: usize>(&self, v: usize, p: &[f64], out: &mut [f64]) {
+    fn pull_lanes<const W: usize>(&self, v: usize, q: &[f64], out: &mut [f64]) {
         let mut acc = [0.0f64; W];
         for &u in self.neighbors_raw(v) {
             let u = u as usize;
-            let d = self.degree(u);
-            debug_assert!(d > 0);
-            let d = d as f64;
-            let row = &p[u * W..u * W + W];
+            let row = &q[u * W..u * W + W];
             for j in 0..W {
-                acc[j] += row[j] / d;
+                acc[j] += row[j];
             }
         }
         out[..W].copy_from_slice(&acc);
@@ -182,28 +224,42 @@ impl WalkGraph for Graph {
     }
 
     #[inline]
-    fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]) {
+    fn prescales(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn prescale_row(&self, u: usize, p_row: &[f64], q_row: &mut [f64]) {
+        // `pull`'s divisor. An isolated node is no one's neighbor, so its
+        // row is never gathered; dividing it by 1 keeps the engine's +0.0
+        // there +0.0 rather than 0/0 = NaN.
+        let d = self.degree(u).max(1) as f64;
+        for (qj, &pj) in q_row.iter_mut().zip(p_row) {
+            *qj = pj / d;
+        }
+    }
+
+    #[inline]
+    fn pull_block(&self, v: usize, q: &[f64], width: usize, out: &mut [f64]) {
         // Lane-for-lane the `pull` kernel above: each lane's sum starts at
-        // 0.0 and adds `p_j(u) / d(u)` in neighbor-ascending order. Common
-        // widths dispatch to the explicit-lane kernels (see the module
-        // docs); uncommon widths (retired-lane blocks) take the dynamic
-        // loop below — same arithmetic either way.
+        // 0.0 and adds `p_j(u) / d(u)` — prescaled into `q` — in
+        // neighbor-ascending order. Common widths dispatch to the
+        // explicit-lane kernels (see the module docs); uncommon widths
+        // (retired-lane blocks) take the dynamic loop below — same
+        // arithmetic either way.
         match width {
-            1 => return self.pull_lanes::<1>(v, p, out),
-            2 => return self.pull_lanes::<2>(v, p, out),
-            4 => return self.pull_lanes::<4>(v, p, out),
-            8 => return self.pull_lanes::<8>(v, p, out),
+            1 => return self.pull_lanes::<1>(v, q, out),
+            2 => return self.pull_lanes::<2>(v, q, out),
+            4 => return self.pull_lanes::<4>(v, q, out),
+            8 => return self.pull_lanes::<8>(v, q, out),
             _ => {}
         }
         out.fill(0.0);
         for &u in self.neighbors_raw(v) {
             let u = u as usize;
-            let d = self.degree(u);
-            debug_assert!(d > 0);
-            let d = d as f64;
-            let row = &p[u * width..u * width + width];
-            for (o, &pu) in out.iter_mut().zip(row) {
-                *o += pu / d;
+            let row = &q[u * width..u * width + width];
+            for (o, &qu) in out.iter_mut().zip(row) {
+                *o += qu;
             }
         }
     }
@@ -227,10 +283,23 @@ impl WalkGraph for Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gen;
     use lmt_util::rng::fork;
+
+    /// The gather source of a whole interleaved matrix, one row at a time.
+    pub(crate) fn gather_source(g: &dyn WalkGraph, p: &[f64], width: usize) -> Vec<f64> {
+        let mut q = vec![f64::NAN; p.len()];
+        for (u, (q_row, p_row)) in q
+            .chunks_exact_mut(width)
+            .zip(p.chunks_exact(width))
+            .enumerate()
+        {
+            g.prescale_row(u, p_row, q_row);
+        }
+        q
+    }
 
     #[test]
     fn graph_walk_degree_is_degree() {
@@ -277,7 +346,11 @@ mod tests {
         let n = g.n();
         let width = 3;
         let cols: Vec<Vec<f64>> = (0..width)
-            .map(|j| (0..n).map(|v| ((v * 7 + j * 3 + 1) as f64).recip()).collect())
+            .map(|j| {
+                (0..n)
+                    .map(|v| ((v * 7 + j * 3 + 1) as f64).recip())
+                    .collect()
+            })
             .collect();
         let mut interleaved = vec![0.0; n * width];
         for (j, col) in cols.iter().enumerate() {
@@ -285,9 +358,10 @@ mod tests {
                 interleaved[v * width + j] = col[v];
             }
         }
+        let q = gather_source(&g, &interleaved, width);
         let mut out = vec![f64::NAN; width];
         for v in 0..n {
-            g.pull_block(v, &interleaved, width, &mut out);
+            g.pull_block(v, &q, width, &mut out);
             for (j, col) in cols.iter().enumerate() {
                 assert_eq!(
                     out[j].to_bits(),
@@ -307,7 +381,11 @@ mod tests {
         let n = g.n();
         for width in [1usize, 2, 3, 4, 5, 7, 8] {
             let cols: Vec<Vec<f64>> = (0..width)
-                .map(|j| (0..n).map(|v| ((v * 13 + j * 5 + 1) as f64).recip()).collect())
+                .map(|j| {
+                    (0..n)
+                        .map(|v| ((v * 13 + j * 5 + 1) as f64).recip())
+                        .collect()
+                })
                 .collect();
             let mut interleaved = vec![0.0; n * width];
             for (j, col) in cols.iter().enumerate() {
@@ -315,9 +393,10 @@ mod tests {
                     interleaved[v * width + j] = col[v];
                 }
             }
+            let q = gather_source(&g, &interleaved, width);
             let mut out = vec![f64::NAN; width];
             for v in 0..n {
-                g.pull_block(v, &interleaved, width, &mut out);
+                g.pull_block(v, &q, width, &mut out);
                 for (j, col) in cols.iter().enumerate() {
                     assert_eq!(
                         out[j].to_bits(),

@@ -157,8 +157,7 @@ impl WeightedGraph {
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.topo.memory_bytes()
-            + (self.weights.len() + self.loops.len() + self.wdeg.len())
-                * std::mem::size_of::<f64>()
+            + (self.weights.len() + self.loops.len() + self.wdeg.len()) * std::mem::size_of::<f64>()
     }
 
     /// Explicit-lane weighted SpMM kernel: `pull_block` with the lane count
@@ -390,9 +389,16 @@ impl WeightedGraphBuilder {
     /// [`WeightedGraphBuilder::add_loop`]), or a non-finite / non-positive
     /// weight.
     pub fn add_edge(&mut self, u: usize, v: usize, w: f64) -> &mut Self {
-        assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range n={}", self.n);
+        assert!(
+            u < self.n && v < self.n,
+            "edge ({u},{v}) out of range n={}",
+            self.n
+        );
         assert_ne!(u, v, "self-loop at {u}: use add_loop for loop weights");
-        assert!(w.is_finite() && w > 0.0, "edge ({u},{v}) weight {w} must be finite and > 0");
+        assert!(
+            w.is_finite() && w > 0.0,
+            "edge ({u},{v}) weight {w} must be finite and > 0"
+        );
         self.arcs.push((u as u32, v as u32, w));
         self.arcs.push((v as u32, u as u32, w));
         self
@@ -406,7 +412,10 @@ impl WeightedGraphBuilder {
     /// Panics on an out-of-range node or a non-finite / non-positive weight.
     pub fn add_loop(&mut self, u: usize, w: f64) -> &mut Self {
         assert!(u < self.n, "loop node {u} out of range n={}", self.n);
-        assert!(w.is_finite() && w > 0.0, "loop weight {w} must be finite and > 0");
+        assert!(
+            w.is_finite() && w > 0.0,
+            "loop weight {w} must be finite and > 0"
+        );
         self.loops[u] += w;
         self
     }
@@ -429,7 +438,8 @@ impl WeightedGraphBuilder {
     /// offset layout — use [`WeightedGraphBuilder::try_build`] for a
     /// recoverable error.
     pub fn build(self) -> WeightedGraph {
-        self.try_build().expect("edge slots exceed u32 offset range")
+        self.try_build()
+            .expect("edge slots exceed u32 offset range")
     }
 
     /// Fallible [`WeightedGraphBuilder::build`]: rejects graphs whose
@@ -465,8 +475,8 @@ impl WeightedGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::WalkGraph;
     use crate::gen;
+    use crate::walk::WalkGraph;
 
     fn weighted_triangle() -> WeightedGraph {
         let mut b = WeightedGraphBuilder::new(3);

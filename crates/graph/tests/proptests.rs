@@ -7,13 +7,12 @@ use proptest::prelude::*;
 /// Strategy: an arbitrary edge list over `n ≤ 24` nodes.
 fn edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     (2usize..24).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..60)
-            .prop_map(|pairs| {
-                pairs
-                    .into_iter()
-                    .filter(|(u, v)| u != v)
-                    .collect::<Vec<_>>()
-            });
+        let edges = proptest::collection::vec((0..n, 0..n), 0..60).prop_map(|pairs| {
+            pairs
+                .into_iter()
+                .filter(|(u, v)| u != v)
+                .collect::<Vec<_>>()
+        });
         (Just(n), edges)
     })
 }

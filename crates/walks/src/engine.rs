@@ -25,6 +25,14 @@
 //! node-major interleaved (`data[v·B + j]`), so the per-neighbor inner loop
 //! reads `B` contiguous lanes.
 //!
+//! Each step first fills the **gather source** `q` once per node
+//! ([`WalkGraph::prescale_row`]: `q(u) = p(u) / deg(u)` on unweighted
+//! graphs), then gathers every destination row from it, so an unweighted
+//! step divides once per node instead of once per half-edge. Weighted
+//! graphs do not prescale and gather from `p` itself (see `lmt-graph`'s
+//! `walk` module docs for why, and why the prescaled sum is the same to
+//! the bit).
+//!
 //! [`BlockEvolution`] is the crate's only multi-step walk engine. A single
 //! walk is a one-lane block, whose lane is stored contiguously and read in
 //! place through [`BlockEvolution::solo_lane`]; [`evolve_block`] is the
@@ -38,10 +46,15 @@
 //!
 //! * A candidate node's inflow is computed by iterating its **full CSR
 //!   neighbor row in ascending order** — exactly the dense kernel. Terms
-//!   from zero-mass neighbors contribute `p(u)·w/W = (+0.0)·w/W = +0.0`,
-//!   and adding `+0.0` to any partial sum leaves it unchanged *including
-//!   its sign bit*, so skipping nothing inside a row means skipping no
-//!   rounding either.
+//!   from zero-mass neighbors contribute `p(u)·w/W = (+0.0)·w/W = +0.0`
+//!   (prescaled: `q(u) = +0.0 / deg(u) = +0.0`), and adding `+0.0` to any
+//!   partial sum leaves it unchanged *including its sign bit*, so skipping
+//!   nothing inside a row means skipping no rounding either.
+//! * The sparse step prescales only the support `A_t`, so every other row
+//!   of `q` must already hold `+0.0`: before prescaling it re-zeroes the
+//!   rows it prescaled the step before (`A_{t−1}`, the same rows it
+//!   re-zeroes in the output buffer). A simple walk leaves nodes behind —
+//!   the source is not in `A_1` — so a stale row would leak old mass.
 //! * A non-candidate node has no neighbor (and no self-loop) in `A_t`, so
 //!   the dense kernel computes a sum of `+0.0` terms starting from `0.0`.
 //!   Weights are strictly positive and probabilities non-negative, so no
@@ -78,13 +91,16 @@
 //!
 //! The dense path is tiled: destination rows are processed in runs of
 //! [`dense_tile_rows`]`(width)` rows, sized so one tile's output block-row
-//! (`width` lanes × tile rows × 8 bytes) plus the `cur` lanes its pulls
-//! touch stay within an L2-sized working set (`TILE_L2_BYTES`, 256 KiB). On
-//! index-local topologies (paths, cycles, grids, cliques-in-a-row — most
-//! of the §2.3 calibration families) a destination tile's sources are a
-//! narrow band of `cur`, so the whole step streams through cache-resident
-//! tiles instead of walking the full `n × width` matrix per scheduling
-//! quantum. The tiles ride the same `par_chunks_mut` seam the thread pool
+//! (`width` lanes × tile rows × 8 bytes) plus the band of the gather
+//! source `q` its pulls touch stay within an L2-sized working set
+//! (`TILE_L2_BYTES`, 256 KiB); a lazy walk also reads each destination's
+//! own row of `cur` for its holding term. On index-local topologies
+//! (paths, cycles, grids, cliques-in-a-row — most of the §2.3 calibration
+//! families) a destination tile's sources are a narrow band of `q`, so the
+//! whole step streams through cache-resident tiles instead of walking the
+//! full `n × width` matrix per scheduling quantum. The prescale pass before
+//! it is one sequential stream over `cur` and `q`, split on the same tile
+//! boundaries. The tiles ride the same `par_chunks_mut` seam the thread pool
 //! already splits — a tile is just the new chunk unit — and tiling is
 //! **pure policy**: each destination row's arithmetic is untouched and
 //! rows are disjoint writes, so the result is bit-identical for every tile
@@ -117,7 +133,7 @@ const PAR_MIN_ROWS: usize = 2048;
 const TILE_L2_BYTES: usize = 1 << 18;
 
 /// Dense-sweep tile height (destination rows per tile) for a block of
-/// `width` lanes: the output block-row plus an equal-sized band of `cur`
+/// `width` lanes: the output block-row plus an equal-sized band of `q`
 /// (2 × `width` × 8 bytes per row) fit `TILE_L2_BYTES` (256 KiB), floored at 64
 /// rows so narrow blocks do not degenerate into per-row scheduling. The
 /// value is pure policy (see the module docs); results are identical for
@@ -143,6 +159,11 @@ pub struct BlockEvolution<'g, G: WalkGraph + ?Sized> {
     cur: Vec<f64>,
     /// Scratch for the next step; outside `nxt_support` it is all zeros.
     nxt: Vec<f64>,
+    /// Gather source `q` of the step being taken, prescaled from `cur`
+    /// ([`WalkGraph::prescale_row`]); empty when the graph does not
+    /// prescale and steps gather from `cur` itself. While sparse, it is
+    /// all zeros outside `nxt_support` between steps, like `nxt`.
+    q: Vec<f64>,
     /// Exact union support of `cur` (meaningful while `!dense`).
     cur_support: BitSet,
     /// Support of the stale data in `nxt` (lanes to re-zero before writing).
@@ -234,6 +255,11 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
             width,
             cur,
             nxt: vec![0.0; n * width],
+            q: if g.prescales() {
+                vec![0.0; n * width]
+            } else {
+                Vec::new()
+            },
             cur_support,
             nxt_support: BitSet::new(n),
             candidates: BitSet::new(n),
@@ -327,14 +353,33 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
     /// Pull only the candidate rows; everything else stays (exactly) zero.
     fn sparse_step(&mut self) {
         let w = self.width;
-        // Re-zero the lanes holding the stale step-before-last result.
+        let prescaled = !self.q.is_empty();
+        // Re-zero the lanes holding the stale step-before-last result, and
+        // the gather source prescaled from it.
         for v in self.nxt_support.iter() {
             self.nxt[v * w..(v + 1) * w].fill(0.0);
+            if prescaled {
+                self.q[v * w..(v + 1) * w].fill(0.0);
+            }
         }
         self.nxt_support.clear();
+        // Prescale the support; every other row of `q` is +0.0, as the
+        // prescaled zero row of `cur` would be.
+        let src = if prescaled {
+            for u in self.cur_support.iter() {
+                let (p_row, q_row) = (
+                    &self.cur[u * w..(u + 1) * w],
+                    &mut self.q[u * w..(u + 1) * w],
+                );
+                self.g.prescale_row(u, p_row, q_row);
+            }
+            &self.q
+        } else {
+            &self.cur
+        };
         for v in self.candidates.iter() {
             let row = &mut self.nxt[v * w..(v + 1) * w];
-            self.g.pull_block(v, &self.cur, w, row);
+            self.g.pull_block(v, src, w, row);
             if self.kind == WalkKind::Lazy {
                 for (o, &c) in row.iter_mut().zip(&self.cur[v * w..(v + 1) * w]) {
                     *o = 0.5 * c + 0.5 * *o;
@@ -348,11 +393,11 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
         }
     }
 
-    /// Pull every row on the rayon pool (same arithmetic, full sweep),
-    /// cache-blocked: the chunk unit is a *tile* of `tile` destination
-    /// rows (see the module docs), walked row by row inside each worker.
-    /// Per-row arithmetic is identical to the untiled sweep, so tile size
-    /// is pure policy.
+    /// Prescale every row, then pull every row, each on the rayon pool
+    /// (same arithmetic, full sweep). The pull is cache-blocked: the chunk
+    /// unit is a *tile* of `tile` destination rows (see the module docs),
+    /// walked row by row inside each worker. Per-row arithmetic is
+    /// identical to the untiled sweep, so tile size is pure policy.
     fn dense_step(&mut self) {
         let w = self.width;
         let g = self.g;
@@ -360,6 +405,22 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
         let cur = &self.cur;
         let tile = self.tile_rows.unwrap_or_else(|| dense_tile_rows(w)).max(1);
         let min_tiles = ((PAR_MIN_ROWS / w).max(1)).div_ceil(tile);
+        let src = if self.q.is_empty() {
+            cur
+        } else {
+            self.q
+                .par_chunks_mut(w * tile)
+                .with_min_len(min_tiles.max(1))
+                .enumerate()
+                .for_each(|(ti, q_tile)| {
+                    let base = ti * tile;
+                    for (r, q_row) in q_tile.chunks_mut(w).enumerate() {
+                        let u = base + r;
+                        g.prescale_row(u, &cur[u * w..(u + 1) * w], q_row);
+                    }
+                });
+            &self.q
+        };
         self.nxt
             .par_chunks_mut(w * tile)
             .with_min_len(min_tiles.max(1))
@@ -368,7 +429,7 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
                 let base = ti * tile;
                 for (r, row) in tile_buf.chunks_mut(w).enumerate() {
                     let v = base + r;
-                    g.pull_block(v, cur, w, row);
+                    g.pull_block(v, src, w, row);
                     if kind == WalkKind::Lazy {
                         for (o, &c) in row.iter_mut().zip(&cur[v * w..(v + 1) * w]) {
                             *o = 0.5 * c + 0.5 * *o;
@@ -466,6 +527,15 @@ impl<'g, G: WalkGraph + ?Sized> BlockEvolution<'g, G> {
             }
             buf.truncate(self.n * nw);
         }
+        // While sparse, the gather source is +0.0 outside the rows the
+        // last step prescaled (`nxt_support`): zeroing those leaves it all
+        // +0.0 at any stride. The dense path rewrites it whole.
+        if !self.dense && !self.q.is_empty() {
+            for v in self.nxt_support.iter() {
+                self.q[v * w..(v + 1) * w].fill(0.0);
+            }
+        }
+        self.q.truncate(self.n * nw);
         self.width = nw;
     }
 }
@@ -621,6 +691,119 @@ mod tests {
             let solo = dense_reference(&g, s, WalkKind::Lazy, 7).pop().unwrap();
             assert_eq!(block.lane_dist(j), solo, "lane {j} (source {s})");
         }
+    }
+
+    /// Every lane of `BlockEvolution` from `sources` equals the dense
+    /// `pull` reference (`step::step`) to the bit at every step up to 24,
+    /// under crossovers that start dense, cross mid-run and never leave the
+    /// sparse path.
+    fn assert_lanes_match_pull<G: WalkGraph + ?Sized>(
+        name: &str,
+        g: &G,
+        sources: &[usize],
+        kind: WalkKind,
+    ) {
+        let t_max = 24;
+        let reference: Vec<Vec<Dist>> = sources
+            .iter()
+            .map(|&s| dense_reference(g, s, kind, t_max))
+            .collect();
+        for crossover in [0.0, DENSE_CROSSOVER, 2.0] {
+            let mut ev = BlockEvolution::with_crossover(g, sources, kind, crossover);
+            for t in 0..=t_max {
+                for (j, lane) in reference.iter().enumerate() {
+                    for (v, (got, want)) in ev.lane_iter(j).zip(lane[t].as_slice()).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} {kind:?} width {} crossover {crossover} step {t} lane {j} node {v}",
+                            sources.len()
+                        );
+                    }
+                }
+                ev.step();
+            }
+        }
+    }
+
+    #[test]
+    fn prescaled_gather_matches_pull_reference() {
+        // Degrees 3, 5, 6 and 7 make `p / d` and `p · (1/d)` round apart,
+        // and a simple walk leaves its source behind at step 1, so a stale
+        // prescaled row outside the support would leak mass. Widths 1, 2,
+        // 4 and 8 take the explicit-lane kernels, 3 and 5 the dynamic one.
+        let mut graphs: Vec<(String, lmt_graph::Graph)> = [3usize, 5, 6, 7]
+            .iter()
+            .map(|&d| {
+                let g = gen::random_regular(64, d, 40 + d as u64);
+                (format!("random_regular(64, {d})"), g)
+            })
+            .collect();
+        let er = gen::erdos_renyi(80, 0.03, 5);
+        assert!(
+            (0..er.n()).any(|v| er.degree(v) == 0),
+            "the Erdős–Rényi case needs isolated nodes"
+        );
+        graphs.push(("erdos_renyi(80, 0.03)".into(), er));
+        for (name, g) in &graphs {
+            let live: Vec<usize> = (0..g.n()).filter(|&v| g.degree(v) > 0).collect();
+            for kind in [WalkKind::Simple, WalkKind::Lazy] {
+                for width in [1usize, 2, 3, 4, 5, 8] {
+                    let sources: Vec<usize> =
+                        (0..width).map(|j| live[(j * 11) % live.len()]).collect();
+                    assert_lanes_match_pull(name, g, &sources, kind);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn churned_graph_gathers_like_its_topology() {
+        // `ChurnGraph` prescales by delegation: deleting edges from a
+        // 4-regular graph leaves degrees 3 and 4 behind.
+        let mut cg = lmt_graph::ChurnGraph::new(gen::random_regular(64, 4, 8));
+        let cut: Vec<lmt_graph::EdgeEdit> = [0usize, 9, 30]
+            .iter()
+            .map(|&u| lmt_graph::EdgeEdit::delete(u, cg.topology().neighbor(u, 0)))
+            .collect();
+        cg.apply(&cut).unwrap();
+        for kind in [WalkKind::Simple, WalkKind::Lazy] {
+            assert_lanes_match_pull("churned", &cg, &[0, 9, 30], kind);
+        }
+    }
+
+    #[test]
+    fn retire_while_sparse_keeps_the_gather_source_clean() {
+        // A simple walk on the sparse path leaves prescaled rows behind
+        // every step; retiring a lane re-strides the block, and the
+        // survivors must still match their solo runs at every step.
+        let g = gen::random_regular(128, 5, 3);
+        let sources = [1usize, 40, 77, 100, 120];
+        let runs: Vec<Vec<Dist>> = sources
+            .iter()
+            .map(|&s| dense_reference(&g, s, WalkKind::Simple, 12))
+            .collect();
+        // by_step[t][i]: source i's distribution after t steps.
+        let by_step: Vec<Vec<&Dist>> = (0..=12)
+            .map(|t| runs.iter().map(|run| &run[t]).collect())
+            .collect();
+        let mut lane_ref: Vec<usize> = (0..sources.len()).collect();
+        let mut block = BlockEvolution::with_crossover(&g, &sources, WalkKind::Simple, 2.0);
+        for (t, wants) in by_step.iter().enumerate().skip(1) {
+            block.step();
+            if t == 2 || t == 5 {
+                block.retire(1);
+                lane_ref.swap_remove(1);
+            }
+            for (j, &r) in lane_ref.iter().enumerate() {
+                let want = wants[r].as_slice();
+                for (v, (got, w)) in block.lane_iter(j).zip(want).enumerate() {
+                    assert_eq!(got.to_bits(), w.to_bits(), "step {t} lane {j} node {v}");
+                }
+            }
+        }
+        assert!(!block.is_dense());
+        assert_eq!(block.width(), 3);
     }
 
     #[test]

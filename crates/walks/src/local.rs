@@ -148,8 +148,9 @@ pub struct Witness {
     pub size: usize,
     /// Achieved restricted L1 distance `Σ_{u∈S} |p(u) − 1/|S||`.
     pub l1: f64,
-    /// The member node ids.
-    pub nodes: Vec<usize>,
+    /// The member node ids, as `u32` like the CSR's neighbor ids (a
+    /// witness can hold most of the graph, and callers may keep many).
+    pub nodes: Vec<u32>,
 }
 
 /// Result of the oracle.
@@ -710,11 +711,10 @@ impl WitnessScratch {
                     self.windows += scanned as u64;
                     if let Some((lo, sum)) = best {
                         if sum < eps {
-                            let nodes = self.ids[lo..lo + r].iter().map(|&i| i as usize).collect();
                             return Some(Witness {
                                 size: r,
                                 l1: sum,
-                                nodes,
+                                nodes: self.ids[lo..lo + r].to_vec(),
                             });
                         }
                     }
@@ -759,11 +759,8 @@ impl WitnessScratch {
                     };
                     let total = own + sum;
                     if total < eps {
-                        let mut nodes: Vec<usize> = self.rest_ids[lo..lo + (r - 1)]
-                            .iter()
-                            .map(|&i| i as usize)
-                            .collect();
-                        nodes.push(s);
+                        let mut nodes = self.rest_ids[lo..lo + (r - 1)].to_vec();
+                        nodes.push(s as u32);
                         return Some(Witness {
                             size: r,
                             l1: total,
@@ -1258,9 +1255,12 @@ mod tests {
                 None => sum,
             };
             if l1 < eps {
-                let mut nodes = ids[lo..lo + w].to_vec();
-                nodes.extend(src);
-                return Some(Witness { size: r, l1, nodes });
+                let nodes = ids[lo..lo + w].iter().chain(&src).map(|&i| i as u32);
+                return Some(Witness {
+                    size: r,
+                    l1,
+                    nodes: nodes.collect(),
+                });
             }
         }
         None
@@ -1285,7 +1285,7 @@ mod tests {
         Err(LocalMixError::NotMixedWithin(o.max_t))
     }
 
-    type Digest = Option<(usize, u64, Vec<usize>)>;
+    type Digest = Option<(usize, u64, Vec<u32>)>;
 
     fn digest(w: Option<Witness>) -> Digest {
         w.map(|w| (w.size, w.l1.to_bits(), w.nodes))

@@ -86,7 +86,7 @@ proptest! {
         let sizes: Vec<usize> = (n / 4..=n).collect();
         if let Some(w) = check_dist(&p, &sizes, 0.9, None) {
             let target = 1.0 / w.size as f64;
-            let recomputed: f64 = w.nodes.iter().map(|&u| (p.get(u) - target).abs()).sum();
+            let recomputed: f64 = w.nodes.iter().map(|&u| (p.get(u as usize) - target).abs()).sum();
             prop_assert!((recomputed - w.l1).abs() < 1e-9);
             prop_assert!(w.l1 < 0.9);
             prop_assert_eq!(w.nodes.len(), w.size);
