@@ -5,8 +5,20 @@ use crate::builder::check_edge_slots;
 use crate::csr::EdgeIndex;
 use crate::{Graph, GraphBuilder};
 use lmt_util::rng::fork;
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rayon::prelude::*;
+
+/// Stub count below which [`random_regular`] runs on the calling thread
+/// with the plain shuffle: a stub list this small (2 MiB) stays in cache,
+/// so drawing ahead gains nothing and spawning workers costs more than
+/// they save. The benchmarks' 2⁹- and 2¹¹-node graphs are far below it.
+const INLINE_STUBS: usize = 1 << 19;
+
+/// Fisher–Yates draws per block, taken ahead of the block's swaps. Two
+/// blocks of `u32`s (512 KiB) fit in L2.
+const DRAW_BLOCK: usize = 1 << 16;
 
 /// Random `d`-regular simple graph on `n` nodes via the configuration model
 /// with **edge-swap repair**.
@@ -20,6 +32,12 @@ use rand::Rng;
 /// A random d-regular graph is an expander with high probability, which is
 /// exactly how §2.3(b) uses the family (`τ_s = τ_mix = Θ(log n)`).
 ///
+/// The draw sequence is the contract: the graph is a function of
+/// `(n, d, seed)` alone, fixed by a Fisher–Yates shuffle of the stub list
+/// (`j = gen_range(0..i + 1)` for `i = n·d − 1 … 1`) and then the
+/// repair's draws from the same generator. How the work is scheduled
+/// (pool width, inline or not) never changes a byte.
+///
 /// # Stub-slot table
 ///
 /// Every node owns exactly `d` stubs, so one array of `n·d` slots, row `u`
@@ -28,21 +46,49 @@ use rand::Rng;
 /// row `a`), an accepted swap rewrites one slot in each of the four rows it
 /// touches, and once the pairing is simple the rows, sorted, *are* the CSR
 /// neighbor array with offsets `u·d`. The first defect pass checks only the
-/// pairs whose first endpoint's row has a repeated entry or its own id;
-/// later passes rescan only the previous defect list, since a swap only
-/// ever creates a pair whose multiplicity was 0, so no pair off that list
-/// can turn defective.
+/// pairs whose first endpoint's row has a repeated entry (a self-loop puts
+/// its node twice in its row); later passes rescan only the previous
+/// defect list, since a swap only ever creates a pair whose multiplicity
+/// was 0, so no pair off that list can turn defective.
 ///
 /// Cost: one shuffle of the `n·d` stubs, two scattered writes per pair, a
-/// sort of every length-`d` row, and `O(d)` work per swap attempt. Peak
-/// heap is `8·n·d + 4·n` bytes (stub list, slot table, per-row fill
-/// counters): 1.06 GiB at `n = 2²⁴, d = 8`. The slot table is kept as the
-/// returned graph's neighbor array.
+/// sort of every length-`d` row, and `O(d)` work per swap attempt. From
+/// `INLINE_STUBS` = 2¹⁹ stubs on, the work goes to the pool
+/// (`LMT_THREADS` wide):
+/// - the shuffle takes its draws `DRAW_BLOCK` = 2¹⁶ ahead of their swaps, so
+///   the swaps' cache misses overlap, and a second worker draws the next
+///   block while the current one swaps;
+/// - the slot fill, the row sort and the row flags of the first defect
+///   pass run one range of rows per worker. Each worker scans every pair
+///   in order and writes only its own rows, so each row's contents and
+///   order are those of a sequential fill.
+///
+/// Below `INLINE_STUBS` nothing is spawned. EXPERIMENTS.md times the
+/// stages at `n = 2²⁰` and `2²⁴`.
+///
+/// Peak heap is `8·n·d + 4·n` bytes plus two blocks of draws (stub list,
+/// slot table, per-row fill counters, which then hold the row flags):
+/// 1.06 GiB at `n = 2²⁴, d = 8`. Workers allocate nothing; they write only
+/// into the caller's buffers. The slot table is kept as the returned
+/// graph's neighbor array.
 ///
 /// # Panics
 /// Panics if `n·d` is odd, `d ≥ n`, the edge slots `n·d + n` overflow the
 /// compact `u32` offsets (before anything is allocated), or repair stalls.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
+    random_regular_with(n, d, seed, INLINE_STUBS, rayon::current_num_threads)
+}
+
+/// [`random_regular`] with the inline threshold and the pool width as
+/// parameters (`width` is only asked for at or above `inline_stubs`
+/// stubs): tests run the pooled fill on small graphs through it.
+fn random_regular_with(
+    n: usize,
+    d: usize,
+    seed: u64,
+    inline_stubs: usize,
+    width: impl FnOnce() -> usize,
+) -> Graph {
     assert!(d >= 1, "random_regular: d must be ≥ 1");
     assert!(d < n, "random_regular: need d < n");
     check_edge_slots(n.saturating_mul(d), n).expect("edge slots exceed u32 offset range");
@@ -63,37 +109,48 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
             stubs.push(u);
         }
     }
-    stubs.shuffle(&mut rng);
+    // Small tables stay in cache: the plain shuffle, nothing spawned.
+    let workers = if n * d < inline_stubs {
+        stubs.shuffle(&mut rng);
+        1
+    } else {
+        let workers = width().clamp(1, n);
+        shuffle_ahead(&mut stubs, &mut rng, workers > 1);
+        workers
+    };
     let pair_count = stubs.len() / 2;
 
-    // The stub-slot table. Fits: n·d < u32::MAX (guard above).
+    // The stub-slot table, filled, sorted and flagged by row range. Fits:
+    // n·d < u32::MAX (guard above).
     let mut slots = vec![0u32; n * d];
     let mut fill = vec![0u32; n];
-    for p in stubs.chunks_exact(2) {
-        for (a, b) in [(p[0], p[1]), (p[1], p[0])] {
-            slots[a as usize * d + fill[a as usize] as usize] = b;
-            fill[a as usize] += 1;
-        }
+    if workers == 1 {
+        fill_rows(&stubs, d, 0, &mut slots, &mut fill);
+    } else {
+        let rows_per = n.div_ceil(workers);
+        slots
+            .par_chunks_mut(rows_per * d)
+            .zip(fill.par_chunks_mut(rows_per))
+            .enumerate()
+            .for_each(|(k, (rows, fill))| fill_rows(&stubs, d, k * rows_per, rows, fill));
     }
-    drop(fill);
+    // Pack the row flags into bits, in place: the first defect pass looks
+    // them up at random, and n/8 bytes stay in cache where 4·n do not.
+    for w in 0..n.div_ceil(32) {
+        let rows = 32 * w..(32 * w + 32).min(n);
+        fill[w] = fill[rows].iter().rev().fold(0, |bits, &f| (bits << 1) | f);
+    }
+    let flagged = |u: u32| (fill[u as usize / 32] >> (u % 32)) & 1 == 1;
     let row = |u: u32| u as usize * d..(u as usize + 1) * d;
     // Multiplicity of {a, b} for a ≠ b: the number of b's in row a.
     let count = |slots: &[u32], a: u32, b: u32| slots[row(a)].iter().filter(|&&x| x == b).count();
     let pair = |stubs: &[u32], i: usize| (stubs[2 * i], stubs[2 * i + 1]);
     let is_bad = |slots: &[u32], (a, b): (u32, u32)| a == b || count(slots, a, b) > 1;
 
-    // First pass: only a row with a repeated entry or its own id can hold
-    // a defective pair's first endpoint. Sorting a row reorders nothing a
-    // count can see.
-    let mut flagged = vec![false; n];
-    for (u, r) in slots.chunks_exact_mut(d).enumerate() {
-        r.sort_unstable();
-        flagged[u] = r.windows(2).any(|w| w[0] == w[1]) || r.binary_search(&(u as u32)).is_ok();
-    }
     let mut bad: Vec<usize> = (0..pair_count)
-        .filter(|&i| flagged[stubs[2 * i] as usize] && is_bad(&slots, pair(&stubs, i)))
+        .filter(|&i| flagged(stubs[2 * i]) && is_bad(&slots, pair(&stubs, i)))
         .collect();
-    drop(flagged);
+    drop(fill);
 
     // Rows rewritten by a swap; re-sorted once repair is done.
     let mut touched: Vec<u32> = Vec::new();
@@ -153,6 +210,74 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     // Fits: every offset is ≤ n·d < u32::MAX (guard above).
     let offsets: Vec<EdgeIndex> = (0..=n).map(|u| (u * d) as EdgeIndex).collect();
     Graph::from_raw(offsets, slots)
+}
+
+/// `stubs.shuffle(rng)`: the same draws in the same order, so the same
+/// permutation and the same generator state after, taken a block of
+/// [`DRAW_BLOCK`] ahead of their swaps. Each swap's address is then known
+/// early and the swaps' cache misses overlap. With `pooled`, a scoped
+/// worker draws the next block while this thread swaps the current one;
+/// it writes only into the caller's buffer.
+fn shuffle_ahead(stubs: &mut [u32], rng: &mut SmallRng, pooled: bool) {
+    // Positions i = end − 1 … start of the block below `end`, if any.
+    let below = |end: usize| (end > 1).then(|| (end.saturating_sub(DRAW_BLOCK).max(1), end));
+    // Fits: j ≤ i < n·d < u32::MAX.
+    let draw = |rng: &mut SmallRng, js: &mut [u32], (start, end): (usize, usize)| {
+        for (j, i) in js[..end - start].iter_mut().zip((start..end).rev()) {
+            *j = rng.gen_range(0..i + 1) as u32;
+        }
+    };
+    let swap = |stubs: &mut [u32], js: &[u32], (start, end): (usize, usize)| {
+        for (&j, i) in js.iter().zip((start..end).rev()) {
+            stubs.swap(i, j as usize);
+        }
+    };
+    let Some(mut block) = below(stubs.len()) else {
+        return;
+    };
+    // Room for one block, or two to alternate between.
+    let draws = stubs.len() - 1;
+    let mut buf = vec![0u32; draws.min(2 * DRAW_BLOCK)];
+    let (mut cur, mut next) = buf.split_at_mut(draws.min(DRAW_BLOCK));
+    draw(rng, cur, block);
+    while let Some(after) = below(block.0) {
+        if pooled {
+            std::thread::scope(|s| {
+                s.spawn(|| draw(rng, next, after));
+                swap(stubs, cur, block);
+            });
+        } else {
+            swap(stubs, cur, block);
+            draw(rng, next, after);
+        }
+        (cur, next) = (next, cur);
+        block = after;
+    }
+    swap(stubs, cur, block);
+}
+
+/// Fill rows `first..first + fill.len()` of the stub-slot table (`rows`,
+/// `d` slots each) from the pairing in `stubs`, sort them, and leave in
+/// `fill[r]` whether row `first + r` has a repeated entry: only such a row
+/// can be a defective pair's first endpoint (a self-loop puts its node
+/// twice in its row). Sorting a row reorders nothing a multiplicity count
+/// can see.
+fn fill_rows(stubs: &[u32], d: usize, first: usize, rows: &mut [u32], fill: &mut [u32]) {
+    let (first, len) = (first as u32, fill.len() as u32);
+    for p in stubs.chunks_exact(2) {
+        for (a, b) in [(p[0], p[1]), (p[1], p[0])] {
+            let r = a.wrapping_sub(first);
+            if r < len {
+                let r = r as usize;
+                rows[r * d + fill[r] as usize] = b;
+                fill[r] += 1;
+            }
+        }
+    }
+    for (row, flag) in rows.chunks_exact_mut(d).zip(fill) {
+        row.sort_unstable();
+        *flag = u32::from(row.windows(2).any(|w| w[0] == w[1]));
+    }
 }
 
 /// The former map-based generator (SipHash multiplicity map, full defect
@@ -319,8 +444,9 @@ mod tests {
         assert_eq!(count, 1);
     }
 
-    #[test]
-    fn stub_slot_table_matches_map_reference() {
+    /// `(n, d)` cases for the differential tests against
+    /// [`random_regular_reference`]; infeasible ones are skipped.
+    fn reference_cases() -> Vec<(usize, usize)> {
         let mut cases: Vec<(usize, usize)> = Vec::new();
         for n in [16, 17, 30, 257] {
             cases.extend((1..=15).map(|d| (n, d)));
@@ -338,16 +464,41 @@ mod tests {
         // d = n − 1 goes through `complete`.
         cases.extend([(2, 1), (6, 5), (16, 15)]);
         cases.push((1 << 12, 8));
-        for (n, d) in cases {
-            if d >= n || (n * d) % 2 == 1 {
-                continue;
-            }
+        // Three draw blocks, the last one partial.
+        cases.push((1 << 13, 17));
+        cases.retain(|&(n, d)| d < n && (n * d) % 2 == 0);
+        cases
+    }
+
+    #[test]
+    fn stub_slot_table_matches_map_reference() {
+        for (n, d) in reference_cases() {
             for seed in 0..4 {
                 assert_eq!(
                     outcome(|| random_regular(n, d, seed)),
                     outcome(|| random_regular_reference(n, d, seed)),
                     "random_regular({n}, {d}, {seed})"
                 );
+            }
+        }
+    }
+
+    /// The pooled path (shuffle drawn ahead, row-range fill) with no
+    /// inline threshold, at pool widths that split the rows evenly and
+    /// unevenly: the same graph, or the same stalled-repair panic, as the
+    /// reference.
+    #[test]
+    fn pooled_fill_matches_map_reference() {
+        for (n, d) in reference_cases() {
+            for seed in 0..4 {
+                let want = outcome(|| random_regular_reference(n, d, seed));
+                for width in [1, 2, 3, 8] {
+                    assert_eq!(
+                        outcome(|| random_regular_with(n, d, seed, 0, || width)),
+                        want,
+                        "random_regular({n}, {d}, {seed}) at width {width}"
+                    );
+                }
             }
         }
     }
