@@ -20,8 +20,7 @@ fn usage() -> ExitCode {
 }
 
 fn load(path: &str) -> Result<BenchRecord, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     BenchRecord::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -74,8 +73,13 @@ fn main() -> ExitCode {
         );
         ExitCode::from(1)
     } else {
-        println!("ok: {} matched cell(s), no regression",
-            old.cells.iter().filter(|c| new.cells.iter().any(|n| n.scenario == c.scenario)).count());
+        println!(
+            "ok: {} matched cell(s), no regression",
+            old.cells
+                .iter()
+                .filter(|c| new.cells.iter().any(|n| n.scenario == c.scenario))
+                .count()
+        );
         ExitCode::SUCCESS
     }
 }

@@ -70,7 +70,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("bench_sweep: cannot write record into {}: {e}", dir.display());
+            eprintln!(
+                "bench_sweep: cannot write record into {}: {e}",
+                dir.display()
+            );
             ExitCode::from(2)
         }
     }

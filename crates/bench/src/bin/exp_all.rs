@@ -83,7 +83,11 @@ fn main() -> ExitCode {
     if failed.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("exp_all: {} binaries failed: {}", failed.len(), failed.join(", "));
+        eprintln!(
+            "exp_all: {} binaries failed: {}",
+            failed.len(),
+            failed.join(", ")
+        );
         ExitCode::from(1)
     }
 }

@@ -92,15 +92,30 @@ fn main() {
 
     let mut table = Table::new(
         "bridge flap: cache survival, post-churn τ, replay cost".to_string(),
-        &["batch", "edit", "retained", "dropped", "survival", "τ (max)", "evolutions", "replay ms"],
+        &[
+            "batch",
+            "edit",
+            "retained",
+            "dropped",
+            "survival",
+            "τ (max)",
+            "evolutions",
+            "replay ms",
+        ],
     );
     let mut record = BenchRecord::new("churn");
     let mut all_ok = true;
     for flap in 0..FLAPS {
         let (edit, label) = if flap % 2 == 0 {
-            (EdgeEdit::delete(bridge.0, bridge.1), format!("del({},{})", bridge.0, bridge.1))
+            (
+                EdgeEdit::delete(bridge.0, bridge.1),
+                format!("del({},{})", bridge.0, bridge.1),
+            )
         } else {
-            (EdgeEdit::insert(bridge.0, bridge.1), format!("ins({},{})", bridge.0, bridge.1))
+            (
+                EdgeEdit::insert(bridge.0, bridge.1),
+                format!("ins({},{})", bridge.0, bridge.1),
+            )
         };
         let outcome = service
             .apply_churn(std::slice::from_ref(&edit))

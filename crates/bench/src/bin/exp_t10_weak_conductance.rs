@@ -29,9 +29,7 @@ fn main() {
         let kind = walk_kind_for(&w);
         let tau = local_mixing_time_general(&w.graph, w.source, beta, EPS, kind, 100_000)
             .map(|r| r.tau as f64)
-            .unwrap_or_else(|| {
-                oracle_tau(&w, beta, WalkKind::Lazy, 100_000).unwrap_or(0) as f64
-            });
+            .unwrap_or_else(|| oracle_tau(&w, beta, WalkKind::Lazy, 100_000).unwrap_or(0) as f64);
         let phi = weak_conductance_exact(&w.graph, beta);
         t.row(&[
             w.name.clone(),
@@ -44,8 +42,16 @@ fn main() {
     }
     // Experiment scale: heuristic Φ_β.
     for (name, g, beta) in [
-        ("clique-ring(4,16)", gen::ring_of_cliques_regular(4, 16).0, 4.0),
-        ("clique-ring(8,16)", gen::ring_of_cliques_regular(8, 16).0, 8.0),
+        (
+            "clique-ring(4,16)",
+            gen::ring_of_cliques_regular(4, 16).0,
+            4.0,
+        ),
+        (
+            "clique-ring(8,16)",
+            gen::ring_of_cliques_regular(8, 16).0,
+            8.0,
+        ),
         ("expander(128,8)", gen::random_regular(128, 8, 6), 4.0),
     ] {
         let w = Workload::new(name, g, 0);
@@ -64,5 +70,7 @@ fn main() {
     }
     print!("{}", t.render());
     println!("reading: large Φ_β coincides with small τ_s across workloads, consistent with a");
-    println!("Cheeger-style τ(β) = Õ(1/Φ_β^2) relationship; a proof remains the paper's open problem.");
+    println!(
+        "Cheeger-style τ(β) = Õ(1/Φ_β^2) relationship; a proof remains the paper's open problem."
+    );
 }

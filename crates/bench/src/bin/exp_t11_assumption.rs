@@ -12,12 +12,33 @@ use lmt_walks::WalkKind;
 fn main() {
     let mut t = Table::new(
         "T11: Lemma 4 assumption τ_s·φ(S) on discovered witness sets (ε = 1/8e)",
-        &["graph", "β", "τ_s", "|S|", "φ(S)", "τ·φ(S)", "‖p_{2τ}S−π_S‖₁", "< 2ε?"],
+        &[
+            "graph",
+            "β",
+            "τ_s",
+            "|S|",
+            "φ(S)",
+            "τ·φ(S)",
+            "‖p_{2τ}S−π_S‖₁",
+            "< 2ε?",
+        ],
     );
     for (name, g, beta) in [
-        ("clique-ring(4,16)", gen::ring_of_cliques_regular(4, 16).0, 4.0),
-        ("clique-ring(8,16)", gen::ring_of_cliques_regular(8, 16).0, 8.0),
-        ("clique-ring(8,32)", gen::ring_of_cliques_regular(8, 32).0, 8.0),
+        (
+            "clique-ring(4,16)",
+            gen::ring_of_cliques_regular(4, 16).0,
+            4.0,
+        ),
+        (
+            "clique-ring(8,16)",
+            gen::ring_of_cliques_regular(8, 16).0,
+            8.0,
+        ),
+        (
+            "clique-ring(8,32)",
+            gen::ring_of_cliques_regular(8, 32).0,
+            8.0,
+        ),
         ("expander(128,8)", gen::random_regular(128, 8, 2), 4.0),
     ] {
         let src = 1;

@@ -20,7 +20,10 @@ fn main() {
         "T12: per-source τ_s(β,ε) distribution (ports vs interiors)",
         &["graph", "β", "class", "#src", "min", "median", "max"],
     );
-    for (name, k, beta) in [("clique-ring(8,16)", 16usize, 8.0), ("clique-ring(8,32)", 32usize, 8.0)] {
+    for (name, k, beta) in [
+        ("clique-ring(8,16)", 16usize, 8.0),
+        ("clique-ring(8,32)", 32usize, 8.0),
+    ] {
         let (g, spec) = lmt_graph::gen::ring_of_cliques_regular(8, k);
         let mut opts = oracle_opts(beta);
         opts.kind = WalkKind::Simple;

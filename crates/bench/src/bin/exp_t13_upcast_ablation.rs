@@ -17,12 +17,24 @@ use lmt_util::table::Table;
 fn main() {
     let mut t = Table::new(
         "T13: sum of R smallest — naive pipelined upcast vs §3.1 binary search",
-        &["graph", "n", "D", "upcast rounds", "binsearch rounds", "speedup", "agree"],
+        &[
+            "graph",
+            "n",
+            "D",
+            "upcast rounds",
+            "binsearch rounds",
+            "speedup",
+            "agree",
+        ],
     );
     let workloads = vec![
         Workload::new("path(128)".to_string(), gen::path(128), 0),
         Workload::new("grid(12x12)".to_string(), gen::grid(12, 12), 0),
-        Workload::new("expander(128,8)".to_string(), gen::random_regular(128, 8, 6), 0),
+        Workload::new(
+            "expander(128,8)".to_string(),
+            gen::random_regular(128, 8, 6),
+            0,
+        ),
         Workload::new(
             "clique-ring(8,16)".to_string(),
             gen::ring_of_cliques_regular(8, 16).0,
@@ -39,9 +51,15 @@ fn main() {
     for w in &workloads {
         let n = w.graph.n();
         let budget = olog_budget(n, 16);
-        let (tree, _) =
-            build_bfs_tree(&w.graph, w.source, u32::MAX, budget, EngineKind::Sequential, 1)
-                .unwrap();
+        let (tree, _) = build_bfs_tree(
+            &w.graph,
+            w.source,
+            u32::MAX,
+            budget,
+            EngineKind::Sequential,
+            1,
+        )
+        .unwrap();
         let values: Vec<u128> = (0..n as u128).map(|i| (i * 2654435761) % 10_000).collect();
         let r = n / 4;
 

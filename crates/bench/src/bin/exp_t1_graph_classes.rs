@@ -38,9 +38,15 @@ fn main() {
     print!("{}", t.render());
     println!("expected shape: complete ≈1 · expander O(log n), gap ≈1 · clique-ring τ_s = O(1), huge gap");
     println!("boundary effects we observe and document (EXPERIMENTS.md):");
-    println!(" * clique-ring at k = n/β = 16: the bridge-leak mass deficit (~0.06) exceeds ε = 1/8e,");
+    println!(
+        " * clique-ring at k = n/β = 16: the bridge-leak mass deficit (~0.06) exceeds ε = 1/8e,"
+    );
     println!("   so the strict Definition-2 oracle only accepts at global mixing; k ≥ 32 shows the O(1) claim.");
-    println!(" * path: the paper's τ_s = O(n²/β²) claim does NOT hold under Definition 2 with fixed ε —");
+    println!(
+        " * path: the paper's τ_s = O(n²/β²) claim does NOT hold under Definition 2 with fixed ε —"
+    );
     println!("   the endpoint walk's Gaussian profile is never ε-flat on any ≥ n/β window before");
-    println!("   near-global mixing (gap ≈ 1 here). The claim holds only for a sub-path in isolation.");
+    println!(
+        "   near-global mixing (gap ≈ 1 here). The claim holds only for a sub-path in isolation."
+    );
 }

@@ -16,7 +16,14 @@ fn main() {
     let beta = 8.0;
     let mut t = Table::new(
         "T2: Algorithm 2 output vs oracle (β = 8, ε = 1/8e)",
-        &["graph", "oracle τ", "exact-accept τ", "algo2 ℓ", "ℓ/τ-accept", "jitter ℓ"],
+        &[
+            "graph",
+            "oracle τ",
+            "exact-accept τ",
+            "algo2 ℓ",
+            "ℓ/τ-accept",
+            "jitter ℓ",
+        ],
     );
     for w in classic_workloads(256, 8, 42) {
         if w.name.starts_with("path") {

@@ -18,7 +18,14 @@ fn bound(tau: f64, n: f64, beta: f64) -> f64 {
 fn main() {
     let mut t = Table::new(
         "T3: Algorithm 2 measured rounds vs Theorem 1 bound (β = 4)",
-        &["graph", "n", "ℓ out", "rounds", "bound τ·log²n·log_{1+ε}β", "rounds/bound"],
+        &[
+            "graph",
+            "n",
+            "ℓ out",
+            "rounds",
+            "bound τ·log²n·log_{1+ε}β",
+            "rounds/bound",
+        ],
     );
     let mut workloads = Vec::new();
     for n in [64usize, 128, 256, 512] {
@@ -52,7 +59,14 @@ fn main() {
                 ]);
             }
             Err(e) => {
-                t.row(&[w.name.clone(), n.to_string(), "-".into(), "-".into(), "-".into(), format!("{e}")]);
+                t.row(&[
+                    w.name.clone(),
+                    n.to_string(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    format!("{e}"),
+                ]);
             }
         }
     }

@@ -12,11 +12,23 @@ fn main() {
     let beta = 4.0;
     let mut t = Table::new(
         "T4: exact algorithm (β = 4): output, rounds, Theorem 2 bound",
-        &["graph", "n", "D", "τ out", "rounds", "τ·D̃·log n·log_{1+ε}β", "ratio"],
+        &[
+            "graph",
+            "n",
+            "D",
+            "τ out",
+            "rounds",
+            "τ·D̃·log n·log_{1+ε}β",
+            "ratio",
+        ],
     );
     let mut workloads = vec![
         Workload::new("complete(128)".to_string(), gen::complete(128), 0),
-        Workload::new("expander(128,8)".to_string(), gen::random_regular(128, 8, 3), 0),
+        Workload::new(
+            "expander(128,8)".to_string(),
+            gen::random_regular(128, 8, 3),
+            0,
+        ),
         Workload::new(
             "clique-ring(8,16)".to_string(),
             gen::ring_of_cliques_regular(8, 16).0,
@@ -46,7 +58,15 @@ fn main() {
                 ]);
             }
             Err(e) => {
-                t.row(&[w.name.clone(), n.to_string(), format!("{d:.0}"), "-".to_string(), "-".to_string(), "-".to_string(), format!("{e}")]);
+                t.row(&[
+                    w.name.clone(),
+                    n.to_string(),
+                    format!("{d:.0}"),
+                    "-".to_string(),
+                    "-".to_string(),
+                    "-".to_string(),
+                    format!("{e}"),
+                ]);
             }
         }
     }

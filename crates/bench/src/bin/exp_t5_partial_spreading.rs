@@ -15,7 +15,15 @@ fn main() {
     let beta = 8usize;
     let mut t = Table::new(
         "T5: rounds to (δ,β)-partial spreading, push-pull LOCAL (β = 8, 5 seeds)",
-        &["graph", "n", "τ_s(β,ε)", "τ·ln n", "spread rounds (med)", "max", "ratio med/(τ·ln n)"],
+        &[
+            "graph",
+            "n",
+            "τ_s(β,ε)",
+            "τ·ln n",
+            "spread rounds (med)",
+            "max",
+            "ratio med/(τ·ln n)",
+        ],
     );
     for w in classic_workloads(256, beta, 42) {
         let n = w.graph.n();
@@ -29,7 +37,15 @@ fn main() {
             .map(|r| r as f64)
             .collect();
         if rounds.is_empty() {
-            t.row(&[w.name.clone(), n.to_string(), tau.to_string(), "-".into(), "-".into(), "-".into(), "cap".into()]);
+            t.row(&[
+                w.name.clone(),
+                n.to_string(),
+                tau.to_string(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "cap".into(),
+            ]);
             continue;
         }
         let st = summarize(&rounds);
@@ -45,5 +61,7 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
-    println!("expected: ratio is O(1) and does not blow up on the clique-ring (where τ_mix·ln n would)");
+    println!(
+        "expected: ratio is O(1) and does not blow up on the clique-ring (where τ_mix·ln n would)"
+    );
 }

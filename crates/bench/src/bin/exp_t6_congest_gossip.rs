@@ -11,7 +11,14 @@ fn main() {
     let beta = 8usize;
     let mut t = Table::new(
         "T6: CONGEST-limited push-pull (β = 8): rounds vs τ·ln n + n/β",
-        &["graph", "n", "LOCAL rounds", "CONGEST rounds", "τ·ln n + n/β", "ratio"],
+        &[
+            "graph",
+            "n",
+            "LOCAL rounds",
+            "CONGEST rounds",
+            "τ·ln n + n/β",
+            "ratio",
+        ],
     );
     for w in classic_workloads(256, beta, 42) {
         let n = w.graph.n();

@@ -27,7 +27,14 @@ fn main() {
     let d_max = 8.0;
     let mut t = Table::new(
         "T7: Algorithm 1 rounding error, expander(128, d=8)",
-        &["c", "t", "max |p̃−p| (nearest)", "bound t·d/(2n^c)", "paper t·n^{-c}", "floor-mode err"],
+        &[
+            "c",
+            "t",
+            "max |p̃−p| (nearest)",
+            "bound t·d/(2n^c)",
+            "paper t·n^{-c}",
+            "floor-mode err",
+        ],
     );
     for c in [4u32, 6, 8] {
         for steps in [8usize, 32, 128] {

@@ -17,11 +17,25 @@ use lmt_walks::WalkKind;
 fn main() {
     let mut t = Table::new(
         "T8: estimator comparison (global τ_mix unless noted; ε = 1/8e)",
-        &["graph", "oracle τ_mix", "flood τ̂ (rounds)", "sampling τ̂ (rounds, floor)", "algo2 τ_s ℓ (rounds)"],
+        &[
+            "graph",
+            "oracle τ_mix",
+            "flood τ̂ (rounds)",
+            "sampling τ̂ (rounds, floor)",
+            "algo2 τ_s ℓ (rounds)",
+        ],
     );
     let workloads = vec![
-        Workload::new("expander(256,8)".to_string(), gen::random_regular(256, 8, 4), 0),
-        Workload::new("clique-ring(8,32)".to_string(), gen::ring_of_cliques_regular(8, 32).0, 0),
+        Workload::new(
+            "expander(256,8)".to_string(),
+            gen::random_regular(256, 8, 4),
+            0,
+        ),
+        Workload::new(
+            "clique-ring(8,32)".to_string(),
+            gen::ring_of_cliques_regular(8, 32).0,
+            0,
+        ),
         Workload::new("complete(256)".to_string(), gen::complete(256), 0),
     ];
     for w in &workloads {

@@ -19,13 +19,8 @@ fn main() {
     let clique: Vec<usize> = spec.clique_nodes(0).collect();
     let restricted = restricted_trace(&g, 1, &clique, WalkKind::Simple, t_max);
 
-    let global_violations = global
-        .windows(2)
-        .filter(|w| w[1] > w[0] + 1e-12)
-        .count();
-    let first_restricted_increase = restricted
-        .windows(2)
-        .position(|w| w[1] > w[0] + 1e-12);
+    let global_violations = global.windows(2).filter(|w| w[1] > w[0] + 1e-12).count();
+    let first_restricted_increase = restricted.windows(2).position(|w| w[1] > w[0] + 1e-12);
 
     let mut t = Table::new(
         "T9: monotone global vs non-monotone restricted distance (clique-ring(4,16), S = source clique)",

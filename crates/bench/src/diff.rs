@@ -137,7 +137,11 @@ impl DiffReport {
 /// Compare `new` against the `old` baseline. `Err` only on structural
 /// impossibility (duplicate scenario keys within one record); an empty or
 /// disjoint record is a reportable outcome, not an error.
-pub fn diff(old: &BenchRecord, new: &BenchRecord, opts: &DiffOptions) -> Result<DiffReport, String> {
+pub fn diff(
+    old: &BenchRecord,
+    new: &BenchRecord,
+    opts: &DiffOptions,
+) -> Result<DiffReport, String> {
     let mut report = DiffReport::default();
 
     if old.tag != new.tag {
@@ -213,11 +217,8 @@ pub fn diff(old: &BenchRecord, new: &BenchRecord, opts: &DiffOptions) -> Result<
         }
     }
 
-    let old_bins: std::collections::BTreeMap<&str, bool> = old
-        .bins
-        .iter()
-        .map(|b| (b.bin.as_str(), b.ok))
-        .collect();
+    let old_bins: std::collections::BTreeMap<&str, bool> =
+        old.bins.iter().map(|b| (b.bin.as_str(), b.ok)).collect();
     for b in &new.bins {
         if !b.ok && old_bins.get(b.bin.as_str()).copied().unwrap_or(true) {
             report.broken_bins.push(b.bin.clone());
@@ -319,7 +320,9 @@ mod tests {
 
         // Below threshold: clean. Above inverse threshold: improvement.
         let ok = record(vec![cell("a", Some(5), 1.4)]);
-        assert!(!diff(&old, &ok, &DiffOptions::default()).unwrap().regressed());
+        assert!(!diff(&old, &ok, &DiffOptions::default())
+            .unwrap()
+            .regressed());
         let fast = record(vec![cell("a", Some(5), 0.5)]);
         let report = diff(&old, &fast, &DiffOptions::default()).unwrap();
         assert!(!report.regressed());

@@ -84,7 +84,10 @@ impl Fingerprint {
 
     /// Deserialize; `Err` names the first missing/mistyped field.
     pub fn from_json(v: &Json) -> Result<Fingerprint, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("fingerprint: missing {k:?}"));
+        let field = |k: &str| {
+            v.get(k)
+                .ok_or_else(|| format!("fingerprint: missing {k:?}"))
+        };
         let str_field = |k: &str| {
             field(k)?
                 .as_str()

@@ -551,7 +551,12 @@ mod tests {
     #[test]
     fn object_key_order_is_preserved() {
         let v = Json::parse(r#"{"z": 1, "a": 2, "m": 3}"#).unwrap();
-        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["z", "a", "m"]);
     }
 
@@ -564,10 +569,7 @@ mod tests {
 
     #[test]
     fn parses_unicode_escapes_and_surrogates() {
-        assert_eq!(
-            Json::parse(r#""π 🦀""#).unwrap(),
-            Json::Str("π 🦀".into())
-        );
+        assert_eq!(Json::parse(r#""π 🦀""#).unwrap(), Json::Str("π 🦀".into()));
         assert!(Json::parse(r#""\ud83e""#).is_err()); // lone high surrogate
         assert!(Json::parse(r#""\udd80""#).is_err()); // lone low surrogate
     }
@@ -599,8 +601,20 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "nul", "01x", "NaN", "Infinity",
-            "\"unterminated", "\"bad\\q\"", "1 2", "[1] trailing",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "nul",
+            "01x",
+            "NaN",
+            "Infinity",
+            "\"unterminated",
+            "\"bad\\q\"",
+            "1 2",
+            "[1] trailing",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -646,11 +660,14 @@ mod tests {
         assert_eq!(ambiguous.as_u64(), None);
         assert_eq!(Json::parse("9007199254740992").unwrap().as_u64(), None); // 2^53
         assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None); // 2^64
-        // The float view stays available for callers that want it.
+                                                                                 // The float view stays available for callers that want it.
         assert!(ambiguous.as_f64().is_some());
         // The largest trustworthy integer round-trips exactly.
         let max_ok = MAX_EXACT_INT - 1;
-        assert_eq!(Json::parse(&max_ok.to_string()).unwrap().as_u64(), Some(max_ok));
+        assert_eq!(
+            Json::parse(&max_ok.to_string()).unwrap().as_u64(),
+            Some(max_ok)
+        );
     }
 
     #[test]
@@ -662,13 +679,13 @@ mod tests {
     #[test]
     fn truncated_documents_error_at_the_cut() {
         for truncated in [
-            "{\"a\": [1, {\"b\"",  // object cut after a nested key
-            "{\"a\": tr",          // literal cut mid-word
-            "[1, 2, ",             // array cut after a comma
-            "\"abc\\u00",          // \u escape cut mid-hex
-            "\"abc\\",             // escape introducer at end of input
-            "{\"a\": 1,",          // object cut expecting the next key
-            "123e",                // number cut mid-exponent
+            "{\"a\": [1, {\"b\"", // object cut after a nested key
+            "{\"a\": tr",         // literal cut mid-word
+            "[1, 2, ",            // array cut after a comma
+            "\"abc\\u00",         // \u escape cut mid-hex
+            "\"abc\\",            // escape introducer at end of input
+            "{\"a\": 1,",         // object cut expecting the next key
+            "123e",               // number cut mid-exponent
         ] {
             let e = Json::parse(truncated).unwrap_err();
             assert!(e.offset <= truncated.len(), "{truncated:?} -> {e}");

@@ -165,13 +165,19 @@ mod tests {
         // label the unclamped beta, and size cliques from the unclamped
         // divisor — the scenario name lied about the measured graph.
         let ws = classic_workloads(64, 2, 1);
-        let ring = ws.iter().find(|w| w.name.starts_with("clique-ring")).unwrap();
+        let ring = ws
+            .iter()
+            .find(|w| w.name.starts_with("clique-ring"))
+            .unwrap();
         assert_eq!(ring.name, "clique-ring(beta=3,k=21)");
         assert_eq!(ring.graph.n(), 3 * 21);
 
         // Unclamped betas are untouched.
         let ws = classic_workloads(64, 8, 1);
-        let ring = ws.iter().find(|w| w.name.starts_with("clique-ring")).unwrap();
+        let ring = ws
+            .iter()
+            .find(|w| w.name.starts_with("clique-ring"))
+            .unwrap();
         assert_eq!(ring.name, "clique-ring(beta=8,k=8)");
         assert_eq!(ring.graph.n(), 64);
     }

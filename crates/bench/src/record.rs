@@ -171,7 +171,10 @@ impl Cell {
             tau: match v.get("tau") {
                 None => return Err("cell: missing \"tau\"".into()),
                 Some(Json::Null) => None,
-                Some(t) => Some(t.as_u64().ok_or("cell: \"tau\" must be an integer or null")?),
+                Some(t) => Some(
+                    t.as_u64()
+                        .ok_or("cell: \"tau\" must be an integer or null")?,
+                ),
             },
             // Lenient like "fault": pre-memory-accounting records (the
             // committed goldens among them) omit the key entirely.
@@ -268,7 +271,8 @@ impl BenchRecord {
                 .ok_or("record: missing/mistyped \"tag\"")?
                 .to_string(),
             fingerprint: Fingerprint::from_json(
-                v.get("fingerprint").ok_or("record: missing \"fingerprint\"")?,
+                v.get("fingerprint")
+                    .ok_or("record: missing \"fingerprint\"")?,
             )?,
             cells: v
                 .get("cells")

@@ -484,7 +484,9 @@ fn parse_fault(v: &Json) -> Result<FaultSpec, String> {
                 seed: usize_field(v, "seed", &what)? as u64,
             })
         }
-        other => Err(format!("faults: unknown kind {other:?} (none, drop, crash)")),
+        other => Err(format!(
+            "faults: unknown kind {other:?} (none, drop, crash)"
+        )),
     }
 }
 
@@ -576,9 +578,11 @@ fn parse_engine(v: &Json) -> Result<EngineChoice, String> {
         Some("spread") => Ok(EngineChoice::Spread),
         Some("service_cold") => Ok(EngineChoice::ServiceCold),
         Some("service_warm") => Ok(EngineChoice::ServiceWarm),
-        _ => Err("engines: entries must be \"engine\", \"dense\", \"elect\", \"spread\", \
+        _ => Err(
+            "engines: entries must be \"engine\", \"dense\", \"elect\", \"spread\", \
                   \"service_cold\" or \"service_warm\""
-            .into()),
+                .into(),
+        ),
     }
 }
 
@@ -698,18 +702,20 @@ impl SweepSpec {
                 "spec: application engines (elect, spread) run on unit weighting only".into(),
             );
         }
-        if faults.iter().any(|f| *f != FaultSpec::None)
-            && engines.iter().any(|e| !e.is_app())
-        {
-            return Err("spec: non-trivial faults need application engines (elect, spread) — \
+        if faults.iter().any(|f| *f != FaultSpec::None) && engines.iter().any(|e| !e.is_app()) {
+            return Err(
+                "spec: non-trivial faults need application engines (elect, spread) — \
                         the τ engines have no fault hook"
-                .into());
+                    .into(),
+            );
         }
         if churns.iter().any(|c| *c != ChurnSpec::None) {
             if engines.iter().any(|e| !e.is_service()) {
-                return Err("spec: non-trivial churn needs service engines (service_cold, \
+                return Err(
+                    "spec: non-trivial churn needs service engines (service_cold, \
                             service_warm) — only the τ-service has an apply_churn hook"
-                    .into());
+                        .into(),
+                );
             }
             if weightings.iter().any(|w| *w != Weighting::Unit) {
                 return Err(
@@ -866,7 +872,11 @@ mod tests {
             [
                 FaultSpec::None,
                 FaultSpec::Drop { p: 0.2, seed: 7 },
-                FaultSpec::Crash { count: 2, round: 0, seed: 7 },
+                FaultSpec::Crash {
+                    count: 2,
+                    round: 0,
+                    seed: 7
+                },
             ]
         );
         assert_eq!(s.engines, [EngineChoice::Elect, EngineChoice::Spread]);
@@ -885,29 +895,59 @@ mod tests {
     fn rejects_cross_dimension_misuse() {
         for (bad, needle) in [
             // App engines demand unit weighting.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "weightings":[{"kind":"uniform","w":2}],"engines":["elect"]}"#, "unit weighting"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "weightings":[{"kind":"uniform","w":2}],"engines":["elect"]}"#,
+                "unit weighting",
+            ),
             // Non-trivial faults demand app engines.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "faults":[{"kind":"drop","p":0.5,"seed":1}],"engines":["engine","elect"]}"#, "fault hook"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "faults":[{"kind":"drop","p":0.5,"seed":1}],"engines":["engine","elect"]}"#,
+                "fault hook",
+            ),
             // … which also excludes the τ-service engines.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "faults":[{"kind":"drop","p":0.5,"seed":1}],"engines":["service_warm"]}"#, "fault hook"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "faults":[{"kind":"drop","p":0.5,"seed":1}],"engines":["service_warm"]}"#,
+                "fault hook",
+            ),
             // service_sources is meaningless without a service engine.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "service_sources":4}"#, "service engine"),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "engines":["service_cold"],"service_sources":0}"#, "≥ 1"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "service_sources":4}"#,
+                "service engine",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "engines":["service_cold"],"service_sources":0}"#,
+                "≥ 1",
+            ),
             // Degenerate fault values are spelled "none", not 0.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "faults":[{"kind":"drop","p":0.0,"seed":1}],"engines":["elect"]}"#, "0 < p"),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "faults":[{"kind":"crash","count":0,"round":0,"seed":1}],"engines":["elect"]}"#, "count"),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
-                 "faults":[{"kind":"drop","p":0.5,"seed":1,"x":2}],"engines":["elect"]}"#, "\"x\""),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "faults":[{"kind":"drop","p":0.0,"seed":1}],"engines":["elect"]}"#,
+                "0 < p",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "faults":[{"kind":"crash","count":0,"round":0,"seed":1}],"engines":["elect"]}"#,
+                "count",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                 "faults":[{"kind":"drop","p":0.5,"seed":1,"x":2}],"engines":["elect"]}"#,
+                "\"x\"",
+            ),
             // Barbell bounds.
-            (r#"{"tag":"t","graphs":[{"family":"barbell","beta":1,"k":8}],"betas":[2],"epsilons":[0.1]}"#, "≥ 2"),
-            (r#"{"tag":"t","graphs":[{"family":"barbell","beta":2,"k":2}],"betas":[2],"epsilons":[0.1]}"#, "≥ 3"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"barbell","beta":1,"k":8}],"betas":[2],"epsilons":[0.1]}"#,
+                "≥ 2",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"barbell","beta":2,"k":2}],"betas":[2],"epsilons":[0.1]}"#,
+                "≥ 3",
+            ),
         ] {
             let e = SweepSpec::parse(bad).unwrap_err();
             assert!(e.contains(needle), "{bad} -> {e}");
@@ -917,11 +957,23 @@ mod tests {
     #[test]
     fn rejects_unknown_keys_everywhere() {
         for (bad, needle) in [
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"thread":[1]}"#, "thread"),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8,"m":2}],"betas":[2],"epsilons":[0.1]}"#, "\"m\""),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"weightings":[{"kind":"uniform","w":1,"x":2}]}"#, "\"x\""),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"thread":[1]}"#,
+                "thread",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8,"m":2}],"betas":[2],"epsilons":[0.1]}"#,
+                "\"m\"",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"weightings":[{"kind":"uniform","w":1,"x":2}]}"#,
+                "\"x\"",
+            ),
             // Duplicate keys die in the JSON layer, offset and all.
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"betas":[3],"epsilons":[0.1]}"#, "duplicate key"),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"betas":[3],"epsilons":[0.1]}"#,
+                "duplicate key",
+            ),
         ] {
             let e = SweepSpec::parse(bad).unwrap_err();
             assert!(e.contains(needle), "{bad} -> {e}");
@@ -931,14 +983,38 @@ mod tests {
     #[test]
     fn rejects_bad_values() {
         for (bad, needle) in [
-            (r#"{"tag":"a b","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1]}"#, "tag"),
-            (r#"{"tag":"t","graphs":[],"betas":[2],"epsilons":[0.1]}"#, "graphs"),
-            (r#"{"tag":"t","graphs":[{"family":"warp","n":8}],"betas":[2],"epsilons":[0.1]}"#, "warp"),
-            (r#"{"tag":"t","graphs":[{"family":"clique_ring","beta":2,"k":8}],"betas":[2],"epsilons":[0.1]}"#, "≥ 3"),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[0.5],"epsilons":[0.1]}"#, "betas"),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[1.5]}"#, "epsilons"),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"reps":0}"#, "reps"),
-            (r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"threads":[0]}"#, "threads"),
+            (
+                r#"{"tag":"a b","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1]}"#,
+                "tag",
+            ),
+            (
+                r#"{"tag":"t","graphs":[],"betas":[2],"epsilons":[0.1]}"#,
+                "graphs",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"warp","n":8}],"betas":[2],"epsilons":[0.1]}"#,
+                "warp",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"clique_ring","beta":2,"k":8}],"betas":[2],"epsilons":[0.1]}"#,
+                "≥ 3",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[0.5],"epsilons":[0.1]}"#,
+                "betas",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[1.5]}"#,
+                "epsilons",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"reps":0}"#,
+                "reps",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"path","n":8}],"betas":[2],"epsilons":[0.1],"threads":[0]}"#,
+                "threads",
+            ),
         ] {
             let e = SweepSpec::parse(bad).unwrap_err();
             assert!(e.contains(needle), "{bad} -> {e}");
@@ -950,7 +1026,12 @@ mod tests {
         let w = GraphSpec::CliqueRing { beta: 4, k: 8 }.build();
         assert_eq!(w.name, "clique-ring(beta=4,k=8)");
         assert_eq!(w.graph.n(), 32);
-        let w = GraphSpec::Expander { n: 32, d: 4, seed: 1 }.build();
+        let w = GraphSpec::Expander {
+            n: 32,
+            d: 4,
+            seed: 1,
+        }
+        .build();
         assert_eq!(w.name, "expander(n=32,d=4)");
         assert_eq!(w.graph.n(), 32);
         let w = GraphSpec::Barbell { beta: 4, k: 8 }.build();
@@ -969,7 +1050,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             s.churns,
-            [ChurnSpec::None, ChurnSpec::Swap { batches: 3, seed: 23 }]
+            [
+                ChurnSpec::None,
+                ChurnSpec::Swap {
+                    batches: 3,
+                    seed: 23
+                }
+            ]
         );
         assert_eq!(s.churns[0].label(), "none");
         assert_eq!(s.churns[1].label(), "swap(batches=3,seed=23)");
@@ -980,14 +1067,18 @@ mod tests {
     #[test]
     fn churn_schedule_is_deterministic_and_degree_preserving() {
         let (g, _) = gen::ring_of_cliques_regular(4, 8);
-        let spec = ChurnSpec::Swap { batches: 3, seed: 23 };
+        let spec = ChurnSpec::Swap {
+            batches: 3,
+            seed: 23,
+        };
         let schedule = spec.schedule(&g);
         assert_eq!(schedule, spec.schedule(&g), "same spec, same schedule");
         assert!(!schedule.is_empty(), "clique-ring has room for 2-swaps");
         let mut cg = ChurnGraph::new(g.clone());
         for batch in &schedule {
             assert_eq!(batch.len(), 4, "one 2-swap = 2 deletes + 2 inserts");
-            cg.apply(batch).expect("scheduled batches are valid in order");
+            cg.apply(batch)
+                .expect("scheduled batches are valid in order");
         }
         let after = cg.topology();
         assert_eq!(after.m(), g.m());
@@ -1002,33 +1093,54 @@ mod tests {
         const SWAP: &str = r#"{"kind":"swap","batches":2,"seed":7}"#;
         for (bad, needle) in [
             // Non-trivial churn demands service engines…
-            (format!(
-                r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
+            (
+                format!(
+                    r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
                      "churn":[{SWAP}],"engines":["engine"]}}"#
-            ), "apply_churn hook"),
-            (format!(
-                r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
+                ),
+                "apply_churn hook",
+            ),
+            (
+                format!(
+                    r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
                      "churn":[{SWAP}],"engines":["service_warm","dense"]}}"#
-            ), "apply_churn hook"),
+                ),
+                "apply_churn hook",
+            ),
             // … and unit weighting.
-            (format!(
-                r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
+            (
+                format!(
+                    r#"{{"tag":"t","graphs":[{{"family":"complete","n":8}}],"betas":[2],"epsilons":[0.1],
                      "weightings":[{{"kind":"uniform","w":2}}],
                      "churn":[{SWAP}],"engines":["service_warm"]}}"#
-            ), "ChurnGraph"),
+                ),
+                "ChurnGraph",
+            ),
             // Degenerate churn is spelled "none", not 0 batches.
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
                  "churn":[{"kind":"swap","batches":0,"seed":7}],"engines":["service_warm"]}"#
-                .into(), "≥ 1"),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                    .into(),
+                "≥ 1",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
                  "churn":[{"kind":"swap","batches":1,"seed":7,"x":2}],"engines":["service_warm"]}"#
-                .into(), "\"x\""),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                    .into(),
+                "\"x\"",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
                  "churn":[{"kind":"flap","batches":1,"seed":7}],"engines":["service_warm"]}"#
-                .into(), "swap"),
-            (r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
+                    .into(),
+                "swap",
+            ),
+            (
+                r#"{"tag":"t","graphs":[{"family":"complete","n":8}],"betas":[2],"epsilons":[0.1],
                  "churn":["all"],"engines":["service_warm"]}"#
-                .into(), "shorthand"),
+                    .into(),
+                "shorthand",
+            ),
         ] {
             let e = SweepSpec::parse(&bad).unwrap_err();
             assert!(e.contains(needle), "{bad} -> {e}");

@@ -459,7 +459,20 @@ pub fn run_sweep(spec: &SweepSpec) -> BenchRecord {
 pub fn render_table(record: &BenchRecord) -> String {
     let mut t = lmt_util::table::Table::new(
         format!("sweep {} ({} cells)", record.tag, record.cells.len()),
-        &["graph", "w", "β", "ε", "engine", "fault", "churn", "thr", "τ", "mem MiB", "median ms", "min..max"],
+        &[
+            "graph",
+            "w",
+            "β",
+            "ε",
+            "engine",
+            "fault",
+            "churn",
+            "thr",
+            "τ",
+            "mem MiB",
+            "median ms",
+            "min..max",
+        ],
     );
     for c in &record.cells {
         t.row(&[
@@ -472,8 +485,9 @@ pub fn render_table(record: &BenchRecord) -> String {
             c.churn.clone(),
             c.threads.to_string(),
             crate::fmt_opt(c.tau),
-            c.mem_bytes
-                .map_or("-".into(), |b| format!("{:.2}", b as f64 / (1 << 20) as f64)),
+            c.mem_bytes.map_or("-".into(), |b| {
+                format!("{:.2}", b as f64 / (1 << 20) as f64)
+            }),
             c.timing
                 .map_or("-".into(), |s| format!("{:.3}", s.median_ms)),
             c.timing
@@ -570,7 +584,11 @@ mod tests {
             faults: vec![
                 FaultSpec::None,
                 FaultSpec::Drop { p: 0.3, seed: 7 },
-                FaultSpec::Crash { count: 2, round: 1, seed: 7 },
+                FaultSpec::Crash {
+                    count: 2,
+                    round: 1,
+                    seed: 7,
+                },
             ],
             churns: vec![ChurnSpec::None],
             engines: vec![EngineChoice::Elect, EngineChoice::Spread],
@@ -580,7 +598,9 @@ mod tests {
         let record = run_sweep(&spec);
         assert_eq!(record.cells.len(), spec.cell_count());
         for cell in &record.cells {
-            let rounds = cell.tau.unwrap_or_else(|| panic!("{} hit the cap", cell.scenario));
+            let rounds = cell
+                .tau
+                .unwrap_or_else(|| panic!("{} hit the cap", cell.scenario));
             assert!(rounds > 0, "{}", cell.scenario);
             assert!(cell.timing.is_some(), "{}", cell.scenario);
         }
@@ -641,7 +661,13 @@ mod tests {
             betas: vec![4.0],
             epsilons: vec![crate::EPS],
             faults: vec![FaultSpec::None],
-            churns: vec![ChurnSpec::None, ChurnSpec::Swap { batches: 2, seed: 23 }],
+            churns: vec![
+                ChurnSpec::None,
+                ChurnSpec::Swap {
+                    batches: 2,
+                    seed: 23,
+                },
+            ],
             engines: vec![EngineChoice::ServiceCold, EngineChoice::ServiceWarm],
             threads: vec![1],
             service_sources: 4,

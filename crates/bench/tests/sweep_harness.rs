@@ -10,7 +10,9 @@ use lmt_bench::sweep::run_sweep;
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
 }
 
 #[test]
@@ -53,7 +55,11 @@ fn committed_tiny_spec_runs_and_round_trips() {
             },
         )
         .unwrap();
-        assert!(!report.regressed(), "self-diff regressed: {}", report.render());
+        assert!(
+            !report.regressed(),
+            "self-diff regressed: {}",
+            report.render()
+        );
     }
 
     // A perturbed τ value gates, even in τ-only (CI) mode.
@@ -101,8 +107,7 @@ fn committed_golden_record_parses_and_matches_fresh_taus() {
 
     // Re-measure the committed spec (1 rep) and τ-diff against the golden:
     // exactly the CI gate, in-process.
-    let spec_text =
-        std::fs::read_to_string(repo_path("specs/tiny.json")).expect("committed spec");
+    let spec_text = std::fs::read_to_string(repo_path("specs/tiny.json")).expect("committed spec");
     let mut spec = SweepSpec::parse(&spec_text).unwrap();
     spec.reps = 1;
     let fresh = run_sweep(&spec);
