@@ -17,19 +17,20 @@
 //! * **replay cost** — wall-clock of re-answering the batch from the
 //!   post-churn cache.
 //!
-//! Every post-churn answer is asserted bit-identical to a fresh oracle on
-//! an independently maintained mirror of the churned topology before
-//! anything is recorded — the experiment is its own differential harness.
+//! Every post-churn answer, and the first timed replay of it, is checked
+//! bit-identical to a fresh oracle on an independently maintained mirror
+//! of the churned topology — the experiment is its own differential
+//! harness, and exits 1 on any divergence.
 //! Emits `BENCH_churn.json`. 1-CPU container wall clocks: compare shapes,
 //! not absolute times, across hosts.
 
 use lmt_bench::record::{bench_dir, BenchRecord, Cell};
-use lmt_bench::timing;
+use lmt_bench::{same_result, timing};
 use lmt_graph::props::bipartition;
 use lmt_graph::{gen, ChurnGraph, EdgeEdit, WalkGraph};
 use lmt_service::{ServiceConfig, TauQuery, TauService};
 use lmt_util::table::Table;
-use lmt_walks::local::{FlatPolicy, LocalMixOptions, SizeGrid};
+use lmt_walks::local::{local_mixing_time, FlatPolicy, LocalMixOptions, SizeGrid};
 use lmt_walks::WalkKind;
 
 /// Cliques in the barbell (the paper's β).
@@ -126,32 +127,27 @@ fn main() {
 
         let post = service.submit_batch(&queries);
         // Differential net: every post-churn answer must be bit-identical
-        // to a fresh oracle run on the mirrored post-churn topology.
-        let topology = mirror.topology().clone();
+        // to a fresh oracle run on the mirrored post-churn topology, and
+        // the first timed replay must carry the same answers.
         for a in &post {
-            let fresh = lmt_walks::local::local_mixing_time(&topology, a.query.source, &opts);
-            match (&a.result, &fresh) {
-                (Ok(got), Ok(want)) => {
-                    let same = got.tau == want.tau
-                        && got.witness.nodes == want.witness.nodes
-                        && got.witness.l1.to_bits() == want.witness.l1.to_bits();
-                    if !same {
-                        eprintln!(
-                            "exp_churn: batch {flap} src {} diverged from the oracle",
-                            a.query.source
-                        );
-                        all_ok = false;
-                    }
-                }
-                (Err(e), Err(w)) if e == w => {}
-                _ => {
-                    eprintln!(
-                        "exp_churn: batch {flap} src {} verdict diverged from the oracle",
-                        a.query.source
-                    );
-                    all_ok = false;
-                }
+            let fresh = local_mixing_time(mirror.topology(), a.query.source, &opts);
+            if !same_result(&a.result, &fresh) {
+                eprintln!(
+                    "exp_churn: batch {flap} src {} diverged from the oracle",
+                    a.query.source
+                );
+                all_ok = false;
             }
+        }
+        let (replay, samples) = timing::time_reps_ms(REPS, || service.submit_batch(&queries));
+        if replay.len() != post.len()
+            || replay
+                .iter()
+                .zip(&post)
+                .any(|(r, p)| !same_result(&r.result, &p.result))
+        {
+            eprintln!("exp_churn: batch {flap} replay diverged from the post-churn batch");
+            all_ok = false;
         }
 
         let tau = post
@@ -159,10 +155,7 @@ fn main() {
             .map(|a| a.result.as_ref().ok().map(|r| r.tau as u64))
             .collect::<Option<Vec<u64>>>()
             .and_then(|t| t.into_iter().max());
-        let replay = timing::time_reps_ms(REPS, || {
-            service.submit_batch(&queries);
-        });
-        let timing = timing::summarize(&replay);
+        let timing = timing::summarize(&samples);
         let stats = service.stats();
         let survival = outcome.retained as f64 / (outcome.retained + outcome.dropped) as f64;
         table.row(&[

@@ -10,8 +10,8 @@
 //! the runs emit, and [`diff`] compares two records (the `bench_diff`
 //! gate). [`json`] is the vendored JSON layer underneath (no crates.io in
 //! the build environment), and [`timing`] holds the wall-clock helpers the
-//! sweep runner uses. End-to-end timing lives in the standalone
-//! `perfbench/` package (`BENCHMARK.json`).
+//! sweep runner and `exp_churn` use. End-to-end timing lives in the
+//! standalone `perfbench/` package (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,7 @@ pub mod sweep;
 pub mod timing;
 
 use lmt_graph::gen::{self, Workload};
-use lmt_walks::local::{LocalMixOptions, SizeGrid};
+use lmt_walks::local::{LocalMixError, LocalMixOptions, LocalMixResult, SizeGrid};
 use lmt_walks::mixing::mixing_time;
 use lmt_walks::WalkKind;
 
@@ -100,38 +100,20 @@ pub fn fmt_opt(x: Option<u64>) -> String {
     x.map_or("∞".into(), |v| v.to_string())
 }
 
-/// Pre-engine implementation of the exact-τ oracle, preserved for A/B
-/// measurement against `lmt_walks::engine` (the `dense` sweep engine, e.g.
-/// `specs/e1_engine_ab.json`): dense full-graph power iteration with fresh
-/// sort/prefix buffers every step. Same results bit-for-bit — only the cost
-/// differs.
-pub mod dense_reference {
-    use lmt_graph::WalkGraph;
-    use lmt_walks::local::{check_dist, size_grid, LocalMixOptions};
-    use lmt_walks::step::step;
-    use lmt_walks::Dist;
-
-    /// `τ_s(β,ε)` by dense iteration (the historical oracle loop).
-    ///
-    /// # Panics
-    /// Panics if no witness appears within `opts.max_t` steps.
-    pub fn local_mixing_time<G: WalkGraph + ?Sized>(
-        g: &G,
-        src: usize,
-        opts: &LocalMixOptions,
-    ) -> usize {
-        let sizes = size_grid(g.n(), opts);
-        let src_opt = opts.require_source.then_some(src);
-        let mut p = Dist::point(g.n(), src);
-        for t in 0..=opts.max_t {
-            if check_dist(&p, &sizes, opts.eps, src_opt).is_some() {
-                return t;
-            }
-            if t < opts.max_t {
-                p = step(g, &p, opts.kind);
-            }
+/// Whether two oracle outcomes are bit-identical: the same τ, witness set
+/// and witness L1 bits, or the same error.
+pub fn same_result(
+    got: &Result<LocalMixResult, LocalMixError>,
+    want: &Result<LocalMixResult, LocalMixError>,
+) -> bool {
+    match (got, want) {
+        (Ok(g), Ok(w)) => {
+            g.tau == w.tau
+                && g.witness.nodes == w.witness.nodes
+                && g.witness.l1.to_bits() == w.witness.l1.to_bits()
         }
-        panic!("dense reference: no witness within {} steps", opts.max_t);
+        (Err(g), Err(w)) => g == w,
+        _ => false,
     }
 }
 

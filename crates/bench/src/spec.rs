@@ -239,7 +239,8 @@ pub enum Weighting {
 pub enum EngineChoice {
     /// The frontier-sparse evolution engine (`lmt_walks::engine`).
     Engine,
-    /// The pre-engine dense reference ([`crate::dense_reference`]).
+    /// The pre-engine dense oracle loop (full-graph power iteration), timed
+    /// against [`EngineChoice::Engine`] and cross-checked by its τ.
     Dense,
     /// Gossip leader election (rounds to live agreement).
     Elect,

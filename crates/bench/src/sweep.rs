@@ -1,17 +1,20 @@
 //! The sweep runner: execute every cell of a [`SweepSpec`] and produce one
 //! [`BenchRecord`].
 //!
-//! Per cell, the runner builds the graph, decorates it with the cell's
-//! weighting, pins `LMT_THREADS` to the cell's pool width (restoring the
-//! prior value afterwards — the rayon shim reads the variable on every
-//! dispatch, so mid-process pinning takes effect immediately), computes
-//! `τ_s(β,ε)` once for the record, then wall-clocks `reps` repetitions and
-//! stores the median/min/max.
+//! Per cell, the runner builds the graph and decorates it with the cell's
+//! weighting (both kept while the next cells share them), pins
+//! `LMT_THREADS` to the cell's pool width (restoring the prior value
+//! afterwards — the rayon shim reads the variable on every dispatch, so
+//! mid-process pinning takes effect immediately), and wall-clocks `reps`
+//! repetitions of the cell's measurement. The record stores the
+//! median/min/max of those samples and the answer the **first timed rep**
+//! computed: no untimed pass of the same measurement runs before the reps.
 //!
 //! Dense-reference cells are cross-checked: the engine computes τ first
 //! (its no-witness path is non-panicking), the dense path is only timed
-//! when a witness exists, and the two τ values are asserted equal — the
-//! record's τ column is simultaneously a correctness regression net.
+//! when a witness exists, and the first dense rep's τ is asserted equal to
+//! the engine's — the record's τ column is simultaneously a correctness
+//! regression net.
 //!
 //! Application cells (`elect`, `spread`) run the gossip applications under
 //! the cell's fault plan and store **completion rounds** in the τ column
@@ -22,31 +25,34 @@
 //! Service cells (`service_cold`, `service_warm`) time a
 //! [`TauService`] batch over `service_sources` sources spread across the
 //! graph — cold builds a fresh service per rep (every rep pays the
-//! evolutions), warm replays a pre-warmed cache. Warm answers are asserted
-//! bit-equal to a cold run's before timing, so both cells record the same
-//! τ column (max over the sampled sources) and the diff gate sees
+//! evolutions), warm replays the cache that one untimed batch on a fresh
+//! service filled. Warm replays are asserted bit-identical to that warm-up
+//! batch, itself a cold answer, so both cells record the same τ column
+//! (max over the sampled sources) and the diff gate sees
 //! cache-correctness regressions as τ mismatches.
 //!
 //! Churned service cells (a non-`"none"` churn dimension value) warm the
 //! service, land the spec's seeded edit schedule through
-//! [`TauService::apply_churn`], and record the **post-churn** batch — after
-//! asserting every post-churn answer bit-identical to a fresh oracle on
-//! the post-churn topology. Churn-free cells keep the pre-churn-dimension
-//! scenario keys (no `|churn=` segment), so existing goldens still match.
+//! [`TauService::apply_churn`], and answer the batch again: cold times that
+//! whole episode per rep, warm runs it once untimed and times post-churn
+//! replays. The recorded **post-churn** answers are asserted bit-identical
+//! to a fresh oracle on the post-churn topology. Churn-free cells keep the
+//! pre-churn-dimension scenario keys (no `|churn=` segment), so existing
+//! goldens still match.
 
 use lmt_gossip::apps::{
     elect_leader, elect_leader_faulty, rounds_to_full_spread, rounds_to_full_spread_faulty,
 };
 use lmt_gossip::GossipMode;
-use lmt_graph::props::bipartition;
+use lmt_graph::gen::Workload;
 use lmt_graph::{ChurnGraph, EdgeEdit, Graph, WalkGraph};
 use lmt_service::{ServiceConfig, TauAnswer, TauQuery, TauService};
-use lmt_walks::local::{FlatPolicy, LocalMixOptions, SizeGrid};
-use lmt_walks::WalkKind;
+use lmt_walks::local::{check_dist, size_grid, FlatPolicy, LocalMixOptions, SizeGrid};
+use lmt_walks::{Dist, WalkKind};
 
 use crate::record::{BenchRecord, Cell};
-use crate::spec::{AnyGraph, EngineChoice, FaultSpec, SweepSpec};
-use crate::{dense_reference, timing};
+use crate::spec::{AnyGraph, ChurnSpec, EngineChoice, FaultSpec, SweepSpec};
+use crate::{same_result, timing, walk_kind_for};
 
 /// Pin `LMT_THREADS` for the guard's lifetime, restoring the prior value
 /// (or its absence) on drop.
@@ -69,6 +75,76 @@ impl Drop for ThreadsGuard {
     }
 }
 
+/// One cell's coordinates: graph and weighting by index (they key the
+/// substrate the cell runs on), the other dimensions by value.
+struct Coord<'a> {
+    graph: usize,
+    weighting: usize,
+    beta: f64,
+    eps: f64,
+    fault: &'a FaultSpec,
+    churn: &'a ChurnSpec,
+    engine: EngineChoice,
+    width: usize,
+}
+
+impl<'a> Coord<'a> {
+    /// Cell `i` in spec order (graphs × weightings × betas × epsilons ×
+    /// faults × churns × engines × threads, the last varying fastest): `i`
+    /// read as a mixed-radix number over the dimension lengths.
+    fn of(spec: &'a SweepSpec, mut i: usize) -> Coord<'a> {
+        let mut digit = |len: usize| {
+            let d = i % len;
+            i /= len;
+            d
+        };
+        // Fields are evaluated in the order written: innermost digit first.
+        Coord {
+            width: spec.threads[digit(spec.threads.len())],
+            engine: spec.engines[digit(spec.engines.len())],
+            churn: &spec.churns[digit(spec.churns.len())],
+            fault: &spec.faults[digit(spec.faults.len())],
+            eps: spec.epsilons[digit(spec.epsilons.len())],
+            beta: spec.betas[digit(spec.betas.len())],
+            weighting: digit(spec.weightings.len()),
+            graph: digit(spec.graphs.len()),
+        }
+    }
+}
+
+/// What a cell runs on: the built workload, its walk kind and its weighted
+/// decoration.
+struct Substrate {
+    /// The `(graph, weighting)` coordinates it was built for.
+    key: (usize, usize),
+    workload: Workload,
+    kind: WalkKind,
+    g: AnyGraph,
+}
+
+impl Substrate {
+    /// The substrate of cell `c`, reusing `prior`'s workload when only the
+    /// weighting changed. The rest of `prior` is dropped before anything
+    /// is built.
+    fn for_cell(spec: &SweepSpec, c: &Coord, prior: Option<Substrate>) -> Substrate {
+        let (workload, kind) = match prior.filter(|p| p.key.0 == c.graph) {
+            Some(p) => (p.workload, p.kind),
+            None => {
+                let workload = spec.graphs[c.graph].build();
+                let kind = walk_kind_for(&workload);
+                (workload, kind)
+            }
+        };
+        let g = spec.weightings[c.weighting].apply(workload.graph.clone());
+        Substrate {
+            key: (c.graph, c.weighting),
+            workload,
+            kind,
+            g,
+        }
+    }
+}
+
 fn engine_tau(g: &AnyGraph, src: usize, opts: &LocalMixOptions) -> Option<u64> {
     match g {
         AnyGraph::Unweighted(g) => lmt_walks::local::local_mixing_time(g, src, opts),
@@ -78,11 +154,27 @@ fn engine_tau(g: &AnyGraph, src: usize, opts: &LocalMixOptions) -> Option<u64> {
     .map(|r| r.tau as u64)
 }
 
-fn dense_tau(g: &AnyGraph, src: usize, opts: &LocalMixOptions) -> u64 {
-    (match g {
-        AnyGraph::Unweighted(g) => dense_reference::local_mixing_time(g, src, opts),
-        AnyGraph::Weighted(g) => dense_reference::local_mixing_time(g, src, opts),
-    }) as u64
+/// `τ_s(β,ε)` by the pre-engine oracle loop, kept for A/B measurement
+/// against `lmt_walks::engine` (the `dense` engine, e.g.
+/// `specs/e1_engine_ab.json`): dense full-graph power iteration with fresh
+/// sort/prefix buffers every step. Same τ bit-for-bit — only the cost
+/// differs.
+///
+/// # Panics
+/// Panics if no witness appears within `opts.max_t` steps.
+fn dense_tau<G: WalkGraph>(g: &G, src: usize, opts: &LocalMixOptions) -> u64 {
+    let sizes = size_grid(g.n(), opts);
+    let src_opt = opts.require_source.then_some(src);
+    let mut p = Dist::point(g.n(), src);
+    for t in 0..=opts.max_t {
+        if check_dist(&p, &sizes, opts.eps, src_opt).is_some() {
+            return t as u64;
+        }
+        if t < opts.max_t {
+            p = lmt_walks::step::step(g, &p, opts.kind);
+        }
+    }
+    panic!("dense reference: no witness within {} steps", opts.max_t);
 }
 
 /// The τ column of a service cell: `Some(max τ)` iff every sampled source
@@ -95,39 +187,29 @@ fn service_taus(answers: &[TauAnswer]) -> Option<u64> {
         .and_then(|taus| taus.into_iter().max())
 }
 
-/// Assert `replay` carries the same answers as `cold`, witness bits
-/// included — the warm cell's correctness net.
-fn assert_service_replay(replay: &[TauAnswer], cold: &[TauAnswer], what: &str) {
-    assert_eq!(replay.len(), cold.len(), "{what}: answer count changed");
-    for (r, c) in replay.iter().zip(cold) {
-        match (&r.result, &c.result) {
-            (Ok(r), Ok(c)) => {
-                assert_eq!(r.tau, c.tau, "{what}: warm/cold τ disagree");
-                assert_eq!(
-                    r.witness.nodes, c.witness.nodes,
-                    "{what}: warm/cold witness sets disagree"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("{what}: warm/cold verdicts disagree"),
-        }
+/// Assert `got` carries `want`'s answers bit for bit (τ, witness set and
+/// witness L1, or the same error) — the service cells' correctness net.
+fn assert_same_answers(got: &[TauAnswer], want: &[TauAnswer], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: answer count changed");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            same_result(&g.result, &w.result),
+            "{what}: answers for source {} differ",
+            g.query.source
+        );
     }
 }
 
-/// Run one service cell: build the query batch (`sources` sources spread
-/// evenly across the graph, all at the cell's `(β, ε)`), compute the cold
-/// reference answers, then time either fresh-service batches (cold) or
-/// pre-warmed cache replays (warm).
-fn service_cell<G: WalkGraph + Clone>(
-    g: &G,
-    engine: EngineChoice,
+/// A service cell's batch — `sources` sources spread evenly across the
+/// `n` nodes, all at the cell's `(β, ε)` — and the service configuration
+/// that mirrors `opts`.
+fn service_batch(
+    n: usize,
     opts: &LocalMixOptions,
     sources: usize,
-    reps: usize,
-) -> (Option<u64>, Vec<f64>) {
-    let n = g.n();
+) -> (Vec<TauQuery>, ServiceConfig) {
     let q = sources.min(n);
-    let queries: Vec<TauQuery> = (0..q)
+    let queries = (0..q)
         .map(|i| TauQuery {
             source: i * n / q,
             beta: opts.beta,
@@ -141,38 +223,59 @@ fn service_cell<G: WalkGraph + Clone>(
         flat_policy: opts.flat_policy,
         ..ServiceConfig::default()
     };
-    let cold = TauService::with_config(g.clone(), config).submit_batch(&queries);
-    let tau = service_taus(&cold);
-    let timing = match engine {
-        EngineChoice::ServiceCold => timing::time_reps_ms(reps, || {
-            TauService::with_config(g.clone(), config).submit_batch(&queries);
-        }),
-        EngineChoice::ServiceWarm => {
-            let service = TauService::with_config(g.clone(), config);
-            assert_service_replay(&service.submit_batch(&queries), &cold, "warm-up");
-            assert_service_replay(&service.submit_batch(&queries), &cold, "replay");
-            timing::time_reps_ms(reps, || {
-                service.submit_batch(&queries);
-            })
-        }
-        _ => unreachable!("service_cell called for a non-service engine"),
-    };
-    (tau, timing)
+    (queries, config)
 }
 
-/// Run one **churned** service cell: warm a [`TauService`] over a
-/// [`ChurnGraph`], drive the cell's edit schedule through
-/// [`TauService::apply_churn`], and re-answer the same batch on the churned
-/// topology. Before anything is timed, every post-churn answer is asserted
-/// bit-identical (τ, witness set, witness L1) to a fresh oracle run on the
-/// post-churn topology — the record's τ column doubles as a correctness
-/// net for support-aware cache invalidation, exactly like the dense
-/// cross-check does for the engine.
+/// Time a service cell whose `episode` builds a fresh service and answers
+/// the batch with it. Cold times one episode per rep; warm runs one
+/// untimed episode and times replays of its service, each asserted
+/// bit-identical to the episode's answers. Returns the first timed rep's
+/// answers and the samples.
+fn time_service<G: WalkGraph>(
+    engine: EngineChoice,
+    reps: usize,
+    queries: &[TauQuery],
+    episode: impl Fn() -> (TauService<G>, Vec<TauAnswer>),
+) -> (Vec<TauAnswer>, Vec<f64>) {
+    match engine {
+        EngineChoice::ServiceCold => timing::time_reps_ms(reps, || episode().1),
+        EngineChoice::ServiceWarm => {
+            let (service, warm_up) = episode();
+            let (replay, samples) = timing::time_reps_ms(reps, || service.submit_batch(queries));
+            assert_same_answers(&replay, &warm_up, "warm replay");
+            (replay, samples)
+        }
+        _ => unreachable!("service cell run for a non-service engine"),
+    }
+}
+
+/// Run one service cell on a static graph (see [`time_service`]).
+fn service_cell<G: WalkGraph + Clone>(
+    g: &G,
+    engine: EngineChoice,
+    opts: &LocalMixOptions,
+    sources: usize,
+    reps: usize,
+) -> (Option<u64>, Vec<f64>) {
+    let (queries, config) = service_batch(g.n(), opts, sources);
+    let (answers, samples) = time_service(engine, reps, &queries, || {
+        let service = TauService::with_config(g.clone(), config);
+        let answers = service.submit_batch(&queries);
+        (service, answers)
+    });
+    (service_taus(&answers), samples)
+}
+
+/// Run one **churned** service cell over a [`ChurnGraph`] (see
+/// [`time_service`]). Its episode warms a fresh service, drives the cell's
+/// edit schedule through [`TauService::apply_churn`], and re-answers the
+/// same batch on the churned topology, so the cold/warm gap shows what the
+/// surviving cache is worth after churn.
 ///
-/// Cold times the whole episode per rep (fresh service, warm-up batch,
-/// churn, post-churn batch); warm times post-churn replays of the
-/// already-churned service, so the cold/warm gap shows what the surviving
-/// cache is worth after churn.
+/// The recorded answers are asserted bit-identical (τ, witness set,
+/// witness L1) to a fresh oracle run on the post-churn topology: the
+/// record's τ column doubles as a correctness net for support-aware cache
+/// invalidation, exactly like the dense cross-check does for the engine.
 fn churned_service_cell(
     g: &Graph,
     engine: EngineChoice,
@@ -181,25 +284,8 @@ fn churned_service_cell(
     reps: usize,
     schedule: &[Vec<EdgeEdit>],
 ) -> (Option<u64>, Vec<f64>) {
-    let n = g.n();
-    let q = sources.min(n);
-    let queries: Vec<TauQuery> = (0..q)
-        .map(|i| TauQuery {
-            source: i * n / q,
-            beta: opts.beta,
-            eps: opts.eps,
-        })
-        .collect();
-    let config = ServiceConfig {
-        kind: opts.kind,
-        max_t: opts.max_t,
-        grid: opts.grid,
-        flat_policy: opts.flat_policy,
-        ..ServiceConfig::default()
-    };
-    // One churn episode: warm on the base topology, land every edit batch,
-    // re-answer the same queries on the churned topology.
-    let episode = || {
+    let (queries, config) = service_batch(g.n(), opts, sources);
+    let (post, samples) = time_service(engine, reps, &queries, || {
         let service = TauService::with_config(ChurnGraph::new(g.clone()), config);
         service.submit_batch(&queries);
         for batch in schedule {
@@ -209,62 +295,26 @@ fn churned_service_cell(
         }
         let post = service.submit_batch(&queries);
         (service, post)
-    };
-    let (service, post) = episode();
+    });
 
     // Differential net: an independent mirror of the schedule yields the
-    // post-churn topology; every answer the churned service just gave must
-    // be bit-identical to a fresh oracle run on it.
+    // post-churn topology, and a fresh oracle on it must give every
+    // recorded answer.
     let mut mirror = ChurnGraph::new(g.clone());
     for batch in schedule {
         mirror
             .apply(batch)
             .expect("mirror replays the exact batches the service accepted");
     }
-    let post_topology = mirror.topology().clone();
-    for a in &post {
-        let fresh = lmt_walks::local::local_mixing_time(&post_topology, a.query.source, opts);
-        match (&a.result, &fresh) {
-            (Ok(got), Ok(want)) => {
-                assert_eq!(
-                    got.tau, want.tau,
-                    "churned service τ diverged from the post-churn oracle (src {})",
-                    a.query.source
-                );
-                assert_eq!(
-                    got.witness.nodes, want.witness.nodes,
-                    "churned service witness set diverged (src {})",
-                    a.query.source
-                );
-                assert_eq!(
-                    got.witness.l1.to_bits(),
-                    want.witness.l1.to_bits(),
-                    "churned service witness L1 diverged (src {})",
-                    a.query.source
-                );
-            }
-            (Err(e), Err(w)) => assert_eq!(e, w, "churned service error diverged"),
-            _ => panic!(
-                "churned service verdict diverged from the post-churn oracle (src {})",
-                a.query.source
-            ),
-        }
-    }
-
-    let tau = service_taus(&post);
-    let timing = match engine {
-        EngineChoice::ServiceCold => timing::time_reps_ms(reps, || {
-            episode();
-        }),
-        EngineChoice::ServiceWarm => {
-            assert_service_replay(&service.submit_batch(&queries), &post, "churned replay");
-            timing::time_reps_ms(reps, || {
-                service.submit_batch(&queries);
-            })
-        }
-        _ => unreachable!("churned_service_cell called for a non-service engine"),
-    };
-    (tau, timing)
+    let oracle: Vec<TauAnswer> = post
+        .iter()
+        .map(|a| TauAnswer {
+            query: a.query,
+            result: lmt_walks::local::local_mixing_time(mirror.topology(), a.query.source, opts),
+        })
+        .collect();
+    assert_same_answers(&post, &oracle, "churned service vs post-churn oracle");
+    (service_taus(&post), samples)
 }
 
 /// Completion rounds of an application cell (`None` = cap exhausted).
@@ -284,172 +334,116 @@ fn app_rounds(engine: EngineChoice, g: &Graph, fault: &FaultSpec, cap: u64) -> O
     }
 }
 
+/// Run cell `c` on its substrate `s`: the τ column and the `reps`
+/// wall-clock samples (`None` for a dense cell with no witness).
+fn run_cell(spec: &SweepSpec, s: &Substrate, c: &Coord) -> (Option<u64>, Option<Vec<f64>>) {
+    assert!(
+        c.engine.is_service() || *c.churn == ChurnSpec::None,
+        "non-trivial churn reached a non-service engine — \
+         the spec parser should have rejected this"
+    );
+    let mut opts = LocalMixOptions::new(c.beta);
+    opts.eps = c.eps;
+    opts.grid = SizeGrid::Geometric;
+    opts.kind = s.kind;
+    opts.max_t = spec.max_t;
+    // Paths and weighted decorations are not regular; use the paper's
+    // loose flat treatment (as `oracle_tau`).
+    opts.flat_policy = FlatPolicy::AssumeFlat;
+    let (src, reps) = (s.workload.source, spec.reps);
+
+    let (tau, samples) = match c.engine {
+        EngineChoice::Engine => timing::time_reps_ms(reps, || engine_tau(&s.g, src, &opts)),
+        EngineChoice::Dense => {
+            // The dense reference panics on a missed cap; record such a
+            // cell untimed instead.
+            let Some(tau) = engine_tau(&s.g, src, &opts) else {
+                eprintln!(
+                    "warning: {}: no witness within max_t={}, dense cell untimed",
+                    s.workload.name, spec.max_t
+                );
+                return (None, None);
+            };
+            let (dense, samples) = timing::time_reps_ms(reps, || match &s.g {
+                AnyGraph::Unweighted(g) => dense_tau(g, src, &opts),
+                AnyGraph::Weighted(g) => dense_tau(g, src, &opts),
+            });
+            assert_eq!(
+                dense, tau,
+                "dense/engine τ disagree on {} — bit-compat broken",
+                s.workload.name
+            );
+            (Some(dense), samples)
+        }
+        EngineChoice::Elect | EngineChoice::Spread => {
+            let AnyGraph::Unweighted(topo) = &s.g else {
+                unreachable!("spec parse enforces unit weighting for app engines")
+            };
+            let cap = spec.max_t as u64;
+            timing::time_reps_ms(reps, || app_rounds(c.engine, topo, c.fault, cap))
+        }
+        EngineChoice::ServiceCold | EngineChoice::ServiceWarm => {
+            let schedule = c.churn.schedule(&s.workload.graph);
+            let sources = spec.service_sources;
+            match &s.g {
+                AnyGraph::Unweighted(base) if !schedule.is_empty() => {
+                    churned_service_cell(base, c.engine, &opts, sources, reps, &schedule)
+                }
+                _ if !schedule.is_empty() => {
+                    unreachable!("spec parse enforces unit weighting for churn")
+                }
+                AnyGraph::Unweighted(g) => service_cell(g, c.engine, &opts, sources, reps),
+                AnyGraph::Weighted(g) => service_cell(g, c.engine, &opts, sources, reps),
+            }
+        }
+    };
+    (tau, Some(samples))
+}
+
 /// Run every cell of `spec` and return the record (cells in spec order:
-/// graphs × weightings × betas × epsilons × faults × engines × threads).
+/// graphs × weightings × betas × epsilons × faults × churns × engines ×
+/// threads).
 pub fn run_sweep(spec: &SweepSpec) -> BenchRecord {
     let mut record = BenchRecord::new(spec.tag.clone());
     record.cells.reserve(spec.cell_count());
-
-    for graph_spec in &spec.graphs {
-        let workload = graph_spec.build();
-        // Walk kind depends only on the topology: lazy iff bipartite.
-        let kind = if bipartition(&workload.graph).is_some() {
-            WalkKind::Lazy
-        } else {
-            WalkKind::Simple
-        };
-        for weighting in &spec.weightings {
-            let g = weighting.apply(workload.graph.clone());
-            for &beta in &spec.betas {
-                for &eps in &spec.epsilons {
-                    let mut opts = LocalMixOptions::new(beta);
-                    opts.eps = eps;
-                    opts.grid = SizeGrid::Geometric;
-                    opts.kind = kind;
-                    opts.max_t = spec.max_t;
-                    // Paths and weighted decorations are not regular; use
-                    // the paper's loose flat treatment (as `oracle_tau`).
-                    opts.flat_policy = FlatPolicy::AssumeFlat;
-
-                    // faults × churns, flattened: churn is one more spec
-                    // dimension, ordered inside the fault dimension.
-                    let fault_churn = spec
-                        .faults
-                        .iter()
-                        .flat_map(|f| spec.churns.iter().map(move |c| (f, c)));
-                    for (fault, churn) in fault_churn {
-                        // Materialized once per (graph, churn): every
-                        // engine × width cell replays the same batches.
-                        let schedule = churn.schedule(&workload.graph);
-                        for &engine in &spec.engines {
-                            assert!(
-                                schedule.is_empty() || engine.is_service(),
-                                "non-trivial churn reached a non-service engine — \
-                                 the spec parser should have rejected this"
-                            );
-                            for &width in &spec.threads {
-                                let _pin = ThreadsGuard::pin(width);
-                                let (tau, timing) = if engine.is_app() {
-                                    let topo = match &g {
-                                        AnyGraph::Unweighted(g) => g,
-                                        AnyGraph::Weighted(_) => unreachable!(
-                                            "spec parse enforces unit weighting for app engines"
-                                        ),
-                                    };
-                                    let cap = spec.max_t as u64;
-                                    let tau = app_rounds(engine, topo, fault, cap);
-                                    let timing = Some(timing::time_reps_ms(spec.reps, || {
-                                        app_rounds(engine, topo, fault, cap);
-                                    }));
-                                    (tau, timing)
-                                } else if engine.is_service() {
-                                    let (tau, timing) = if !schedule.is_empty() {
-                                        let AnyGraph::Unweighted(base) = &g else {
-                                            unreachable!(
-                                                "spec parse enforces unit weighting for churn"
-                                            )
-                                        };
-                                        churned_service_cell(
-                                            base,
-                                            engine,
-                                            &opts,
-                                            spec.service_sources,
-                                            spec.reps,
-                                            &schedule,
-                                        )
-                                    } else {
-                                        match &g {
-                                            AnyGraph::Unweighted(g) => service_cell(
-                                                g,
-                                                engine,
-                                                &opts,
-                                                spec.service_sources,
-                                                spec.reps,
-                                            ),
-                                            AnyGraph::Weighted(g) => service_cell(
-                                                g,
-                                                engine,
-                                                &opts,
-                                                spec.service_sources,
-                                                spec.reps,
-                                            ),
-                                        }
-                                    };
-                                    (tau, Some(timing))
-                                } else {
-                                    let tau = engine_tau(&g, workload.source, &opts);
-                                    let timing = match (engine, tau) {
-                                        (EngineChoice::Engine, _) => {
-                                            Some(timing::time_reps_ms(spec.reps, || {
-                                                engine_tau(&g, workload.source, &opts);
-                                            }))
-                                        }
-                                        (EngineChoice::Dense, Some(tau)) => {
-                                            let dense = dense_tau(&g, workload.source, &opts);
-                                            assert_eq!(
-                                                dense, tau,
-                                                "dense/engine τ disagree on {} — bit-compat broken",
-                                                workload.name
-                                            );
-                                            Some(timing::time_reps_ms(spec.reps, || {
-                                                dense_tau(&g, workload.source, &opts);
-                                            }))
-                                        }
-                                        (EngineChoice::Dense, None) => {
-                                            // The dense reference panics on a
-                                            // missed cap; record the cell
-                                            // untimed instead.
-                                            eprintln!(
-                                                "warning: {}: no witness within max_t={}, dense cell untimed",
-                                                workload.name, spec.max_t
-                                            );
-                                            None
-                                        }
-                                        _ => unreachable!("app engines handled above"),
-                                    };
-                                    (tau, timing)
-                                };
-                                let fault_label = fault.label();
-                                // Fault-free keys stay in the pre-fault
-                                // format so older records keep matching.
-                                let fault_key = if fault_label == "none" {
-                                    String::new()
-                                } else {
-                                    format!("|fault={fault_label}")
-                                };
-                                let churn_label = churn.label();
-                                // Churn-free keys likewise stay in the
-                                // pre-churn format.
-                                let churn_key = if churn_label == "none" {
-                                    String::new()
-                                } else {
-                                    format!("|churn={churn_label}")
-                                };
-                                record.cells.push(Cell {
-                                    scenario: format!(
-                                        "g={}|w={}|beta={beta}|eps={eps}|engine={}{fault_key}{churn_key}|threads={width}",
-                                        workload.name,
-                                        weighting.label(),
-                                        engine.label(),
-                                    ),
-                                    graph: workload.name.clone(),
-                                    weighting: weighting.label(),
-                                    beta,
-                                    eps,
-                                    engine: engine.label().to_string(),
-                                    fault: fault_label,
-                                    churn: churn_label,
-                                    threads: width,
-                                    tau,
-                                    mem_bytes: Some(g.memory_bytes()),
-                                    timing: timing.as_deref().and_then(timing::summarize),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+    let mut substrate: Option<Substrate> = None;
+    for c in (0..spec.cell_count()).map(|i| Coord::of(spec, i)) {
+        let key = (c.graph, c.weighting);
+        if substrate.as_ref().is_none_or(|s| s.key != key) {
+            substrate = Some(Substrate::for_cell(spec, &c, substrate.take()));
         }
+        let s = substrate.as_ref().expect("built above");
+        let (tau, samples) = {
+            let _pin = ThreadsGuard::pin(c.width);
+            run_cell(spec, s, &c)
+        };
+        let (fault, churn) = (c.fault.label(), c.churn.label());
+        // Fault- and churn-free keys stay in the format that predates those
+        // dimensions, so older records keep matching.
+        let segment = |dim: &str, label: &str| match label {
+            "none" => String::new(),
+            _ => format!("|{dim}={label}"),
+        };
+        let (fault_key, churn_key) = (segment("fault", &fault), segment("churn", &churn));
+        let weighting = spec.weightings[c.weighting].label();
+        let (name, beta, eps, width) = (&s.workload.name, c.beta, c.eps, c.width);
+        record.cells.push(Cell {
+            scenario: format!(
+                "g={name}|w={weighting}|beta={beta}|eps={eps}|engine={}{fault_key}{churn_key}|threads={width}",
+                c.engine.label(),
+            ),
+            graph: name.clone(),
+            weighting,
+            beta,
+            eps,
+            engine: c.engine.label().to_string(),
+            fault,
+            churn,
+            threads: width,
+            tau,
+            mem_bytes: Some(s.g.memory_bytes()),
+            timing: samples.as_deref().and_then(timing::summarize),
+        });
     }
     record
 }

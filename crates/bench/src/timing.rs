@@ -20,15 +20,25 @@ pub struct TimingSummary {
     pub max_ms: f64,
 }
 
-/// Wall-clock each of `reps` calls to `f`, in milliseconds.
-pub fn time_reps_ms(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
-    (0..reps)
+/// Wall-clock each of `reps` calls to `f`, in milliseconds, and return the
+/// first call's output with the samples. Later outputs are dropped after
+/// their sample is taken.
+///
+/// # Panics
+/// Panics if `reps` is 0: there would be no output to return.
+pub fn time_reps_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Vec<f64>) {
+    let mut first = None;
+    let samples = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
+            let out = f();
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            first.get_or_insert(out);
+            ms
         })
-        .collect()
+        .collect();
+    let first = first.expect("time_reps_ms: reps must be at least 1");
+    (first, samples)
 }
 
 /// Median of the finite entries of `xs`: middle element for odd counts,
@@ -107,9 +117,26 @@ mod tests {
     #[test]
     fn time_reps_counts_calls() {
         let mut calls = 0usize;
-        let times = time_reps_ms(4, || calls += 1);
+        let ((), times) = time_reps_ms(4, || calls += 1);
         assert_eq!(calls, 4);
         assert_eq!(times.len(), 4);
         assert!(times.iter().all(|t| t.is_finite() && *t >= 0.0));
+    }
+
+    #[test]
+    fn time_reps_returns_the_first_reps_output() {
+        let mut calls = 0usize;
+        let (first, times) = time_reps_ms(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(first, 1);
+        assert_eq!((calls, times.len()), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "reps must be at least 1")]
+    fn time_reps_rejects_zero_reps() {
+        time_reps_ms(0, || ());
     }
 }

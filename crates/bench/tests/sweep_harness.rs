@@ -125,6 +125,15 @@ fn committed_golden_record_parses_and_matches_fresh_taus() {
         "fresh τ values drifted from the committed golden:\n{}",
         report.render()
     );
+    // The diff gate fails only on lost cells; the runner must also keep
+    // the golden's cells, in the golden's order, with nothing added.
+    let keys = |r: &BenchRecord| {
+        r.cells
+            .iter()
+            .map(|c| c.scenario.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(keys(&fresh), keys(&golden), "cell order or set changed");
 }
 
 #[test]
